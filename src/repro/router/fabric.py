@@ -42,6 +42,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -213,9 +214,7 @@ class SwitchFabric:
         if not 0 <= dst_port < len(self._ports):
             raise ValueError(f"destination port {dst_port} out of range")
         port = self._ports[dst_port]
-        append = port.queue.append
-        for cell in cells:
-            append((cell, on_delivered))
+        port.queue.extend(zip(cells, repeat(on_delivered)))
         if not port.busy and port.queue:
             self._begin(dst_port)
         return True
@@ -258,10 +257,17 @@ class SwitchFabric:
         port.busy = True
         engine = self._engine
         queue = port.queue
-        rate = self._rate * self._fraction
+        popleft = queue.popleft
+        base_rate = self._rate
+        fraction = self._fraction
+        spacing = 1.0 / (base_rate * fraction)
+        # The time of the firing in progress: the engine's clock always
+        # equals the time the previous step returned.
+        now = engine.now + spacing
 
         def step() -> float | None:
-            cell, callback = queue.popleft()
+            nonlocal now, fraction, spacing
+            cell, callback = popleft()
             port.delivered_cells += 1
             callback(cell)
             if not queue:
@@ -270,15 +276,19 @@ class SwitchFabric:
             # Re-read the effective rate at the cell boundary -- the
             # same instant the scalar clock reads it -- so a mid-run
             # active_fraction change splits the burst onto the new rate.
-            rate = self._rate * self._fraction
-            if rate <= 0.0:
-                self._drop_queue(port_idx)
-                return None
-            return engine.now + 1.0 / rate
+            # A float object holds one value, so while the cached object
+            # is still current the spacing needs no recomputing.
+            if self._fraction is not fraction:
+                fraction = self._fraction
+                rate = base_rate * fraction
+                if rate <= 0.0:
+                    self._drop_queue(port_idx)
+                    return None
+                spacing = 1.0 / rate
+            now = now + spacing
+            return now
 
-        engine.schedule_run(
-            engine.now + 1.0 / rate, step, label=f"fabric:port{port_idx}"
-        )
+        engine.schedule_run(now, step, label=f"fabric:port{port_idx}")
 
     def _drop_queue(self, port_idx: int) -> None:
         """Drop every queued cell of a port on a dead fabric, accounted."""

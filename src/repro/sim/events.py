@@ -3,33 +3,41 @@
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 __all__ = ["Event", "EventHandle"]
 
 
-@dataclass(order=True)
 class Event:
     """A scheduled callback.
 
-    Ordering is by ``(time, priority, seq)``: earlier time first, then
-    lower priority number, then insertion order.  ``action`` and
-    ``cancelled`` are excluded from comparisons.
+    The engine's heap holds ``(time, priority, seq, event)`` tuples, so
+    ordering is by ``(time, priority, seq)``: earlier time first, then
+    lower priority number, then insertion order.  ``seq`` is unique, so
+    tuple comparison is decided before it reaches the event itself;
+    :class:`Event` therefore defines no ordering of its own and keeps
+    only what the heap key does not: the action, the label, and the
+    cancellation flag (plus ``time``, for :attr:`EventHandle.time`).
     """
 
-    time: float
-    priority: int
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    label: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("time", "action", "label", "cancelled")
+
+    def __init__(
+        self, time: float, action: Callable[[], None] | None, label: str = ""
+    ) -> None:
+        self.time = time
+        self.action = action
+        self.label = label
+        self.cancelled = False
 
 
 class EventHandle:
     """Opaque handle returned by :meth:`Engine.schedule`; supports cancellation.
 
     Cancellation is lazy: the event stays in the heap but is skipped when
-    popped, which keeps ``cancel`` O(1).
+    popped, which keeps ``cancel`` O(1).  Cancelling also drops the
+    event's ``action``, so the callback -- and everything its closure
+    captured -- is released at cancel time rather than when the dead
+    heap entry is finally popped.
     """
 
     __slots__ = ("_event",)
@@ -53,5 +61,7 @@ class EventHandle:
         return self._event.cancelled
 
     def cancel(self) -> None:
-        """Prevent the event from firing (idempotent)."""
-        self._event.cancelled = True
+        """Prevent the event from firing and release its action (idempotent)."""
+        ev = self._event
+        ev.cancelled = True
+        ev.action = None

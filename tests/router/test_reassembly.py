@@ -1,5 +1,7 @@
 """SRU reassembly-buffer tests."""
 
+import weakref
+
 import pytest
 
 from repro.router.packets import Cell
@@ -71,6 +73,30 @@ class TestTimeout:
         for cell in cells_for(1, 2):
             buf.add_cell(cell, lambda: None, aborted.append)
         eng.run(until=5e-3)
+        assert aborted == []
+        assert buf.timed_out == 0
+
+    def test_cancelled_timeout_releases_its_closure(self):
+        """Completion cancels the timeout, and the cancel frees the
+        timeout closure at once: its captured cell and abort callback
+        must not stay alive in the heap until the timeout's time."""
+        eng = Engine()
+        buf = ReassemblyBuffer(eng, timeout_s=1e-3)
+        cells = cells_for(1, 2)
+        aborted = []
+
+        def on_abort(reason):
+            aborted.append(reason)
+
+        cell_ref = weakref.ref(cells[0])
+        abort_ref = weakref.ref(on_abort)
+        for cell in cells:
+            buf.add_cell(cell, lambda: None, on_abort)
+        del cells, cell, on_abort
+        assert eng.pending == 1  # the lazily cancelled timeout
+        assert cell_ref() is None
+        assert abort_ref() is None
+        eng.run()
         assert aborted == []
         assert buf.timed_out == 0
 

@@ -38,7 +38,7 @@ class TestSuiteReport:
     def test_entries_cover_every_hot_path(self, report):
         names = {e["name"] for e in report["entries"]}
         assert {
-            "calibration.numpy", "sim.events",
+            "calibration.numpy", "sim.events", "sim.timeouts",
             "sim.cells.batched", "sim.cells.scalar",
             "mc.lifetime.vectorized", "mc.lifetime.scalar",
             "mc.is.batched", "mc.is.scalar",
@@ -52,6 +52,7 @@ class TestSuiteReport:
         m = report["metrics"]
         for key in (
             "calibration.ops_per_sec", "sim.events_per_sec",
+            "sim.timeouts_per_sec",
             "sim.cells_per_sec", "sim.cells.speedup_vs_scalar",
             "mc.lifetime.trials_per_sec", "mc.lifetime.speedup_vs_scalar",
             "mc.is.cycles_per_sec", "mc.is.speedup_vs_scalar",
