@@ -107,7 +107,7 @@ def _render(metrics, registry, jobs: int, cache) -> str:
     # Figure 8.
     w("## Figure 8 — bandwidth available to faulty LCs (N = 6)\n\n```\n")
     w(format_performance_table(
-        parallel_performance_sweep(jobs=jobs, cache=cache, metrics=metrics)
+        parallel_performance_sweep(cache=cache, metrics=metrics)
     ))
     w("\n```\n\n")
 

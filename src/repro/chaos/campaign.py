@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.chaos.detection import DetectionConfig
+from repro.chaos.detection import DetectionConfig, FaultDetector
 from repro.chaos.invariants import check_invariants
 from repro.obs import trace as _trace
 from repro.router.faults import FaultInjector, FaultModes
@@ -78,9 +78,6 @@ class CampaignConfig:
     #: keeps the paper's slot-rank first-fit; "adaptive" adds scoring,
     #: replanning and fair degradation -- same 13 invariant families).
     coverage_policy: str = "static"
-    #: fabric cell-clock dispatch ("batched" or its bit-identical
-    #: "scalar" reference oracle, docs/performance.md).
-    cell_dispatch: str = "batched"
 
     def __post_init__(self) -> None:
         if self.seeds <= 0:
@@ -94,23 +91,20 @@ class CampaignConfig:
         return int(seq.generate_state(1)[0])
 
 
-def _jsonable_config(cfg: CampaignConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    # Enum-free: asdict keeps plain floats/ints for the nested frozen
-    # dataclasses, so the dict is already JSON-serialisable.
-    return out
+def _simulate(
+    cfg: CampaignConfig, idx: int
+) -> tuple[Router, FaultInjector, FaultDetector]:
+    """Build and run schedule ``idx``: traffic and faults, then drain.
 
-
-def run_schedule(cfg: CampaignConfig, idx: int) -> dict:
-    """Run one seeded fault schedule; return its deterministic summary."""
-    seed = cfg.schedule_seed(idx)
+    Every RNG stream derives from ``cfg.schedule_seed(idx)``, so the same
+    ``cfg`` and ``idx`` always replay the same schedule.
+    """
     router = Router(
         RouterConfig(
             n_linecards=cfg.n_linecards,
             mode=RouterMode.DRA,
-            seed=seed,
+            seed=cfg.schedule_seed(idx),
             coverage_policy=cfg.coverage_policy,
-            cell_dispatch=cfg.cell_dispatch,
         )
     )
     detector = router.enable_detection(cfg.detection)
@@ -128,7 +122,12 @@ def run_schedule(cfg: CampaignConfig, idx: int) -> dict:
     for src in sources:
         src.stop()
     router.engine.run(until=cfg.duration_s + cfg.drain_s)
+    return router, injector, detector
 
+
+def run_schedule(cfg: CampaignConfig, idx: int) -> dict:
+    """Run one seeded fault schedule; return its deterministic summary."""
+    router, injector, detector = _simulate(cfg, idx)
     violations = check_invariants(
         router, injector, detector, settle_s=cfg.settle_s
     )
@@ -146,7 +145,7 @@ def run_schedule(cfg: CampaignConfig, idx: int) -> dict:
 
     summary: dict = {
         "index": idx,
-        "seed": seed,
+        "seed": router.config.seed,
         "offered": s.offered,
         "delivered": s.delivered,
         "dropped": s.dropped,
@@ -191,8 +190,7 @@ def _violation_artifacts(cfg: CampaignConfig, idx: int) -> tuple[list[dict], dic
     prev = _trace.TRACER
     _trace.set_tracer(tracer)
     try:
-        # Same cfg + idx => identical schedule (all RNG is seed-derived).
-        _replay_for_trace(cfg, idx)
+        _simulate(cfg, idx)
     finally:
         _trace.set_tracer(prev)
     window = [
@@ -204,41 +202,6 @@ def _violation_artifacts(cfg: CampaignConfig, idx: int) -> tuple[list[dict], dic
         spans, source=f"schedule[{idx}] seed={cfg.schedule_seed(idx)}"
     )
     return window, incidents
-
-
-def _trace_window(cfg: CampaignConfig, idx: int) -> list[dict]:
-    """Re-run a violating schedule under an in-memory tracer; return the
-    tail of its event stream as context for the violation report."""
-    window, _incidents = _violation_artifacts(cfg, idx)
-    return window
-
-
-def _replay_for_trace(cfg: CampaignConfig, idx: int) -> None:
-    seed = cfg.schedule_seed(idx)
-    router = Router(
-        RouterConfig(
-            n_linecards=cfg.n_linecards,
-            mode=RouterMode.DRA,
-            seed=seed,
-            coverage_policy=cfg.coverage_policy,
-            cell_dispatch=cfg.cell_dispatch,
-        )
-    )
-    router.enable_detection(cfg.detection)
-    sources = wire_uniform_load(router, cfg.load)
-    injector = FaultInjector.accelerated(
-        router,
-        router.rng.stream("chaos-injector"),
-        accel=cfg.accel,
-        repair_rate=cfg.repair_rate,
-        modes=cfg.modes,
-    )
-    injector.start()
-    router.engine.run(until=cfg.duration_s)
-    injector.stop()
-    for src in sources:
-        src.stop()
-    router.engine.run(until=cfg.duration_s + cfg.drain_s)
 
 
 def _worker(task: tuple[CampaignConfig, int]) -> dict:
@@ -271,7 +234,7 @@ def run_campaign(cfg: CampaignConfig, *, jobs: int = 1) -> dict:
     return {
         "schema": "repro-chaos",
         "v": CAMPAIGN_SCHEMA_VERSION,
-        "config": _jsonable_config(cfg),
+        "config": dataclasses.asdict(cfg),
         "schedules": schedules,
         "totals": totals,
     }

@@ -638,7 +638,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         accel=args.accel,
         detection=detection,
         coverage_policy=args.coverage_policy,
-        cell_dispatch=args.cell_dispatch,
     )
 
     # Campaign workers fork from this process; a file-backed tracer must
@@ -702,7 +701,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             select=_parse_codes(args.select),
             ignore=_parse_codes(args.ignore),
             jobs=args.jobs,
-            interprocedural=args.interprocedural,
             graph_out=args.graph_out,
         )
     # timing goes to stderr: stdout (text or JSON) must stay
@@ -907,12 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(paper's slot-rank first-fit) or adaptive "
                         "(headroom/health/spread scoring with replanning "
                         "and fair degradation)")
-    p.add_argument("--cell-dispatch", dest="cell_dispatch",
-                   choices=("batched", "scalar"), default="batched",
-                   help="fabric cell-clock dispatch: batched (one burst "
-                        "event per run of queued cells) or scalar (one "
-                        "heap event per cell, the bit-identical "
-                        "reference oracle)")
     p.add_argument("--json-out", dest="json_out", default="",
                    metavar="PATH", help="write the full campaign report as JSON")
     add_trace_flag(p)
@@ -962,16 +954,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated rule codes or prefixes to run "
                         "(e.g. DRA101,DRA2); default: every rule")
     p.add_argument("--ignore", metavar="CODES",
-                   help="comma-separated rule codes or prefixes to skip")
+                   help="comma-separated rule codes or prefixes to skip "
+                        "(DRA5 skips the whole-project flow pass)")
     p.add_argument("--format", default="text", choices=["text", "json"],
                    help="findings as one line each, or a schema-versioned "
                         "JSON document")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (0 = all cores; default 1 = serial)")
-    p.add_argument("--interprocedural", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="run the whole-project DRA5xx call-graph/dataflow "
-                        "pass (docs/static-analysis.md); on by default")
     p.add_argument("--graph-out", dest="graph_out", metavar="FILE",
                    default=None,
                    help="export the project call graph as schema-versioned "

@@ -9,10 +9,10 @@ The engine mirrors the determinism discipline it enforces:
 * each file is read, parsed and suppression-scanned exactly **once per
   process** (:meth:`FileContext.build`), and every rule shares the
   cached AST walk / parent map on that context;
-* the interprocedural pass (:mod:`repro.lint.flow`) always runs once,
-  in the driver process, over the full sorted file set -- so its
-  findings and the ``--graph-out`` JSON are byte-identical for any
-  ``--jobs`` value;
+* the interprocedural pass (:mod:`repro.lint.flow`) runs once, in the
+  driver process, over the full sorted file set -- so its findings and
+  the ``--graph-out`` JSON are byte-identical for any ``--jobs`` value.
+  It runs whenever a DRA5xx rule is selected or a graph is requested;
 * findings sort by (path, line, col, code) before reporting.
 
 Workers count ``lint.*`` metrics into the process-global registry hook,
@@ -32,6 +32,7 @@ from typing import Any
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
+from repro.lint.flow.rules5xx import FLOW_RULES
 from repro.lint.rules import RULES
 from repro.lint.suppress import apply_suppressions
 from repro.obs import metrics as _metrics
@@ -256,17 +257,16 @@ def lint_paths(
     select: frozenset[str] | None = None,
     ignore: frozenset[str] | None = None,
     jobs: int = 1,
-    interprocedural: bool = True,
     graph_out: str | None = None,
 ) -> LintReport:
     """Lint every Python file under ``paths``.
 
     ``select``/``ignore`` take rule-code prefixes (``DRA1`` covers all
     of ``DRA1xx``); ``jobs`` fans file chunks out over a process pool
-    with the usual bit-identical-report guarantee.  With
-    ``interprocedural`` (the default) the DRA5xx whole-project pass runs
-    in the driver; ``graph_out`` additionally writes the call graph as
-    schema-versioned JSON.
+    with the usual bit-identical-report guarantee.  The DRA5xx
+    whole-project pass runs in the driver when any DRA5xx code survives
+    ``select``/``ignore``, or when ``graph_out`` asks for the call graph
+    as schema-versioned JSON.
     """
     watch = Stopwatch()
     with watch:
@@ -299,7 +299,8 @@ def lint_paths(
             ):
                 findings.extend(kept)
                 suppressed += silenced
-        if interprocedural:
+        selected = _selected_codes(select, ignore)
+        if graph_out is not None or any(c in FLOW_RULES for c in selected):
             if contexts is None:
                 contexts, _ = _build_contexts(files)
             flow_kept, flow_suppressed = _flow_pass(
@@ -315,7 +316,7 @@ def lint_paths(
         files=len(files),
         findings=tuple(findings),
         suppressed=suppressed,
-        selected=_selected_codes(select, ignore, interprocedural),
+        selected=selected,
         wall_ms=watch.elapsed * 1000.0,
     )
 
@@ -323,17 +324,11 @@ def lint_paths(
 def _selected_codes(
     select: frozenset[str] | None,
     ignore: frozenset[str] | None,
-    interprocedural: bool,
 ) -> tuple[str, ...]:
-    from repro.lint.flow.rules5xx import FLOW_RULES
-
-    codes = list(RULES)
-    if interprocedural:
-        codes.extend(FLOW_RULES)
     return tuple(
         sorted(
             code
-            for code in codes
+            for code in (*RULES, *FLOW_RULES)
             if (select is None or _code_matches(code, select))
             and (ignore is None or not _code_matches(code, ignore))
         )

@@ -6,24 +6,19 @@ Exp(exit_rate_i) holding time, then jump to ``j`` with probability
 per-row alias-free sampling via cumulative sums.
 
 The ensemble estimators (:func:`empirical_state_probabilities`,
-:func:`empirical_availability`) offer two back ends via ``method=``:
-
-* ``"batched"`` (default) advances every sampled path in lockstep --
-  one numpy step per jump depth across the whole ensemble -- against
-  padded per-state cumulative jump distributions.  Paths retire from
-  the active set once they cross the horizon (or absorb).
-* ``"scalar"`` loops :func:`sample_trajectory` one path at a time; it
-  is the reference implementation the batched kernels are
-  differential-tested against, and the denominator of the throughput
-  suite's speedup metric.
-
-Both consume the ``Generator`` stream differently, so a fixed seed gives
-statistically identical (not bit-identical) results across methods;
-within one method results are a pure function of the seed.
+:func:`empirical_availability`) advance every sampled path in lockstep
+-- one numpy step per jump depth across the whole ensemble -- against
+padded per-state cumulative jump distributions.  Paths retire from the
+active set once they cross the horizon (or absorb).  Their
+per-trajectory reference loops live in :mod:`repro.validate.oracles`;
+those consume the ``Generator`` stream differently, so a fixed seed
+gives statistically identical (not bit-identical) results, while each
+side is a pure function of the seed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +56,10 @@ class TrajectorySample:
 class _JumpSampler:
     """Precomputed per-state jump distributions for fast repeated sampling.
 
-    Holds both the ragged per-state arrays (scalar path) and the padded
-    cumulative-distribution matrices the lockstep-batched kernels index
-    with whole state vectors at once.
+    Holds both the ragged per-state arrays (one path at a time, for
+    :func:`sample_trajectory`) and the padded cumulative-distribution
+    matrices the lockstep-batched kernels index with whole state vectors
+    at once.
     """
 
     def __init__(self, chain: CTMC) -> None:
@@ -135,22 +131,36 @@ def sample_trajectory(
     return TrajectorySample(np.asarray(states), np.asarray(times))
 
 
-def _check_method(method: str) -> None:
-    if method not in ("batched", "scalar"):
-        raise ValueError(f"unknown method {method!r}; choose batched or scalar")
-
-
-def _batched_dwell_times(
-    exit_rates: np.ndarray, states: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Sojourn times for a batch of paths; absorbing states dwell forever."""
-    rate = exit_rates[states]
-    can_jump = rate > 0.0
-    dwell = np.full(states.size, np.inf)
-    if can_jump.any():
-        n = int(np.count_nonzero(can_jump))
-        dwell[can_jump] = rng.standard_exponential(n) / rate[can_jump]
-    return dwell
+def _lockstep_segments(
+    sampler: _JumpSampler,
+    n_samples: int,
+    initial_state: int,
+    horizon: float,
+    rng: np.random.Generator,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Advance paths one jump depth per step, yielding ``(active, states,
+    t_enter, t_exit)``: the segment each running path occupies.  Paths
+    retire past ``horizon``; absorbing states dwell forever."""
+    t_enter = np.zeros(n_samples)
+    state = np.full(n_samples, initial_state, dtype=np.int64)
+    active = np.arange(n_samples)
+    while active.size:
+        s = state[active]
+        rate = sampler.exit[s]
+        can_jump = rate > 0.0
+        dwell = np.full(s.size, np.inf)
+        if can_jump.any():
+            n = int(np.count_nonzero(can_jump))
+            dwell[can_jump] = rng.standard_exponential(n) / rate[can_jump]
+        t_exit = t_enter[active] + dwell
+        yield active, s, t_enter[active], t_exit
+        cont = t_exit <= horizon
+        nxt = active[cont]
+        if nxt.size:
+            u = rng.random(nxt.size)
+            state[nxt] = sampler.next_states(s[cont], u)
+            t_enter[nxt] = t_exit[cont]
+        active = nxt
 
 
 def empirical_state_probabilities(
@@ -160,50 +170,27 @@ def empirical_state_probabilities(
     rng: np.random.Generator,
     *,
     initial_state: int = 0,
-    method: str = "batched",
 ) -> np.ndarray:
     """Monte Carlo estimate of the transient distribution.
 
     Returns ``(len(times), n_states)`` empirical frequencies; each row is
     an unbiased estimate of ``pi(t)`` with per-entry standard error
-    ``sqrt(p (1 - p) / n_samples)``.  ``method`` picks the lockstep
-    ensemble kernel (default) or the per-trajectory reference loop.
+    ``sqrt(p (1 - p) / n_samples)``.
     """
-    _check_method(method)
     times = np.asarray(times, dtype=np.float64)
     sampler = _JumpSampler(chain)
     horizon = float(times.max()) if times.size else 0.0
     counts = np.zeros((times.size, chain.n_states))
-    if method == "batched":
-        t_enter = np.zeros(n_samples)
-        state = np.full(n_samples, initial_state, dtype=np.int64)
-        active = np.arange(n_samples)
-        while active.size:
-            s = state[active]
-            dwell = _batched_dwell_times(sampler.exit, s, rng)
-            t_exit = t_enter[active] + dwell
-            # The segment [t_enter, t_exit) is occupied by s; a time point
-            # landing exactly on a jump belongs to the *next* segment,
-            # matching TrajectorySample.state_at's right-sided search.
-            for j in range(times.size):
-                seg = (t_enter[active] <= times[j]) & (times[j] < t_exit)
-                if seg.any():
-                    np.add.at(counts[j], s[seg], 1.0)
-            cont = t_exit <= horizon
-            nxt = active[cont]
-            if nxt.size:
-                u = rng.random(nxt.size)
-                state[nxt] = sampler.next_states(s[cont], u)
-                t_enter[nxt] = t_exit[cont]
-            active = nxt
-    else:
-        for _ in range(n_samples):
-            traj = sample_trajectory(
-                chain, horizon, rng, initial_state=initial_state, _sampler=sampler
-            )
-            idx = np.searchsorted(traj.times, times, side="right") - 1
-            occupied = traj.states[np.maximum(idx, 0)]
-            counts[np.arange(times.size), occupied] += 1.0
+    for _, s, t_enter, t_exit in _lockstep_segments(
+        sampler, n_samples, initial_state, horizon, rng
+    ):
+        # The segment [t_enter, t_exit) is occupied by s; a time point
+        # landing exactly on a jump belongs to the *next* segment,
+        # matching TrajectorySample.state_at's right-sided search.
+        for j in range(times.size):
+            seg = (t_enter <= times[j]) & (times[j] < t_exit)
+            if seg.any():
+                np.add.at(counts[j], s[seg], 1.0)
     return counts / n_samples
 
 
@@ -216,63 +203,33 @@ def empirical_availability(
     *,
     initial_state: int = 0,
     warmup_fraction: float = 0.1,
-    method: str = "batched",
 ) -> tuple[float, float]:
     """Long-run availability by time-average over sampled paths.
 
     Returns ``(estimate, standard_error)``.  ``warmup_fraction`` of the
-    horizon is discarded to reduce initial-state bias.  ``method`` picks
-    the lockstep ensemble kernel (default) or the per-trajectory
-    reference loop.
+    horizon is discarded to reduce initial-state bias.
     """
-    _check_method(method)
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must lie in [0, 1), got {warmup_fraction}")
     sampler = _JumpSampler(chain)
     warmup = horizon * warmup_fraction
     window = horizon - warmup
-    if method == "batched":
-        down = np.zeros(n_samples)
-        t_enter = np.zeros(n_samples)
-        state = np.full(n_samples, initial_state, dtype=np.int64)
-        active = np.arange(n_samples)
-        while active.size:
-            s = state[active]
-            dwell = _batched_dwell_times(sampler.exit, s, rng)
-            t_exit = t_enter[active] + dwell
-            in_failed = s == failed_index
-            if in_failed.any():
-                # Downtime contributed by this segment, clipped to the
-                # measurement window (warmup, horizon].
-                seg = np.clip(
-                    np.minimum(t_exit[in_failed], horizon)
-                    - np.maximum(t_enter[active][in_failed], warmup),
-                    0.0,
-                    None,
-                )
-                down[active[in_failed]] += seg
-            cont = t_exit <= horizon
-            nxt = active[cont]
-            if nxt.size:
-                u = rng.random(nxt.size)
-                state[nxt] = sampler.next_states(s[cont], u)
-                t_enter[nxt] = t_exit[cont]
-            active = nxt
-        fractions = 1.0 - down / window
-    else:
-        fractions = np.empty(n_samples)
-        for s in range(n_samples):
-            traj = sample_trajectory(
-                chain, horizon, rng, initial_state=initial_state, _sampler=sampler
+    down = np.zeros(n_samples)
+    for active, s, t_enter, t_exit in _lockstep_segments(
+        sampler, n_samples, initial_state, horizon, rng
+    ):
+        in_failed = s == failed_index
+        if in_failed.any():
+            # Downtime contributed by this segment, clipped to the
+            # measurement window (warmup, horizon].
+            seg = np.clip(
+                np.minimum(t_exit[in_failed], horizon)
+                - np.maximum(t_enter[in_failed], warmup),
+                0.0,
+                None,
             )
-            # Accumulate downtime within (warmup, horizon].
-            entry = traj.times
-            exit_ = np.append(traj.times[1:], horizon)
-            down = 0.0
-            for st, t0, t1 in zip(traj.states, entry, exit_):
-                if st == failed_index:
-                    down += max(0.0, min(t1, horizon) - max(t0, warmup))
-            fractions[s] = 1.0 - down / window
+            down[active[in_failed]] += seg
+    fractions = 1.0 - down / window
     est = float(fractions.mean())
     se = float(fractions.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return est, se

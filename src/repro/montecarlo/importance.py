@@ -23,24 +23,19 @@ The estimator returns a point estimate with a delta-method standard
 error, and is validated in the benches against the exact stationary
 solve across six orders of magnitude of rarity.
 
-Two simulation back ends share the same estimator (``method=``):
-
-* ``"batched"`` (default) advances all cycles of a batch in lockstep --
-  one numpy step per jump *depth*, not per jump -- against per-state
-  cumulative jump distributions precomputed once into padded matrices.
-  Cycles that regenerate drop out of the active set; the per-cycle jump
-  cap applies to the lockstep depth, which bounds every cycle's length
-  exactly as the scalar loop does.
-* ``"scalar"`` is the original one-jump-at-a-time Python loop, kept as
-  the independent reference implementation: the differential tests check
-  the batched kernels against it, and ``bench --suite throughput``
-  measures the batched/scalar speedup (the perf-regression gate pins it).
-
-Both draw from the same ``numpy.random.Generator`` but consume the
-stream differently, so for a fixed seed they give *statistically
-identical*, not bit-identical, results.  Within one method, results are
-a pure function of the seed, which is what the parallel driver's
-bit-identical-across-``--jobs`` contract needs.
+The simulation advances all cycles of a batch in lockstep -- one numpy
+step per jump *depth*, not per jump -- against per-state cumulative jump
+distributions precomputed once into padded matrices.  Cycles that
+regenerate drop out of the active set; the per-cycle jump cap applies to
+the lockstep depth, which bounds every cycle's length exactly as a
+one-jump-at-a-time loop does.  That loop is kept as the independent
+reference in :mod:`repro.validate.oracles`: the differential tests check
+the batched kernels against it, and ``bench --suite throughput``
+measures the batched/scalar speedup (the perf-regression gate pins it).
+The two consume the ``numpy.random.Generator`` stream differently, so
+for a fixed seed they give *statistically identical*, not bit-identical,
+results.  Each is a pure function of the seed, which is what the
+parallel driver's bit-identical-across-``--jobs`` contract needs.
 """
 
 from __future__ import annotations
@@ -155,7 +150,7 @@ class _Rows:
         # holds state ``i``'s cumulative jump distributions, padded with
         # 1.0 so a uniform draw below 1 never lands past the true
         # out-degree (``last_slot`` guards the float-roundoff edge the
-        # scalar loop guards with ``min(k, size - 1)``).
+        # reference loop guards with ``min(k, size - 1)``).
         degree = np.array([t.size for t in self.targets], dtype=np.int64)
         width = max(int(degree.max()) if degree.size else 1, 1)
         self.last_slot = np.maximum(degree - 1, 0)
@@ -201,7 +196,6 @@ def unavailability_importance_sampling(
     bias: float = 0.5,
     repair_threshold: float = 100.0,
     max_jumps_per_cycle: int = 100_000,
-    method: str = "batched",
 ) -> ImportanceSamplingResult:
     """Estimate steady-state unavailability by balanced failure biasing.
 
@@ -222,10 +216,6 @@ def unavailability_importance_sampling(
         kinds are available (0.5 is the standard choice).
     repair_threshold:
         Rate ratio separating repair from failure transitions.
-    method:
-        ``"batched"`` (lockstep numpy kernels, the default) or
-        ``"scalar"`` (the reference per-jump loop); see the module
-        docstring.
     """
     return result_from_statistics(
         collect_cycle_statistics(
@@ -237,7 +227,6 @@ def unavailability_importance_sampling(
             bias=bias,
             repair_threshold=repair_threshold,
             max_jumps_per_cycle=max_jumps_per_cycle,
-            method=method,
         )
     )
 
@@ -252,21 +241,37 @@ def collect_cycle_statistics(
     bias: float = 0.5,
     repair_threshold: float = 100.0,
     max_jumps_per_cycle: int = 100_000,
-    method: str = "batched",
 ) -> CycleStatistics:
     """Simulate ``n_cycles`` cycles and return their sufficient statistics.
 
     Half the cycles run plain (for the denominator's cycle lengths), half
     biased (for the numerator's likelihood-weighted downtimes) -- exactly
-    the split :func:`unavailability_importance_sampling` has always used;
-    that function is now a thin wrapper over this one.  Independent
-    batches combine via :meth:`CycleStatistics.merge`.
-
-    ``method`` selects the lockstep-batched numpy kernels (``"batched"``,
-    the default) or the reference per-jump loop (``"scalar"``).
+    the split :func:`unavailability_importance_sampling` uses.
+    Independent batches combine via :meth:`CycleStatistics.merge`.
     """
-    if method not in ("batched", "scalar"):
-        raise ValueError(f"unknown method {method!r}; choose batched or scalar")
+    rows, regen, failed, n_plain, n_biased = _cycle_setup(
+        chain, failed_state, n_cycles, regeneration_state, bias, repair_threshold
+    )
+    # denominator: E[cycle length]; numerator: E[weighted downtime].
+    lengths = _plain_cycle_lengths_batch(
+        rows, regen, n_plain, rng, max_jumps_per_cycle
+    )
+    downtimes, hit_flags = _biased_cycle_downtimes_batch(
+        rows, regen, failed, n_biased, rng, max_jumps_per_cycle
+    )
+    return _cycle_statistics(chain, bias, lengths, downtimes, hit_flags)
+
+
+def _cycle_setup(
+    chain: CTMC,
+    failed_state: object,
+    n_cycles: int,
+    regeneration_state: object | None,
+    bias: float,
+    repair_threshold: float,
+) -> tuple[_Rows, int, int, int, int]:
+    """Validate a cycle run; return ``(rows, regen, failed, n_plain,
+    n_biased)``."""
     if not 0.0 < bias < 1.0:
         raise ValueError(f"bias must lie in (0, 1), got {bias}")
     if n_cycles < 2:
@@ -275,35 +280,21 @@ def collect_cycle_statistics(
     failed = chain.index_of(failed_state)
     if failed == regen:
         raise ValueError("failed state cannot anchor the regeneration cycles")
-    rows = _Rows(chain, repair_threshold, bias)
-
     n_plain = n_cycles // 2
-    n_biased = n_cycles - n_plain
-    if method == "batched":
-        # denominator: E[cycle length]; numerator: E[weighted downtime].
-        lengths = _plain_cycle_lengths_batch(
-            rows, regen, n_plain, rng, max_jumps_per_cycle
-        )
-        downtimes, hit_flags = _biased_cycle_downtimes_batch(
-            rows, regen, failed, n_biased, rng, max_jumps_per_cycle
-        )
-        hits = int(np.count_nonzero(hit_flags))
-    else:
-        # --- denominator: E[cycle length], plain simulation ---------------
-        lengths = np.empty(n_plain)
-        for c in range(n_plain):
-            lengths[c] = _plain_cycle_length(rows, regen, rng, max_jumps_per_cycle)
+    rows = _Rows(chain, repair_threshold, bias)
+    return rows, regen, failed, n_plain, n_cycles - n_plain
 
-        # --- numerator: E[downtime per cycle], biased + reweighted ---------
-        downtimes = np.empty(n_biased)
-        hits = 0
-        for c in range(n_biased):
-            downtime, hit = _biased_cycle_downtime(
-                rows, regen, failed, rng, max_jumps_per_cycle
-            )
-            downtimes[c] = downtime
-            hits += hit
 
+def _cycle_statistics(
+    chain: CTMC,
+    bias: float,
+    lengths: np.ndarray,
+    downtimes: np.ndarray,
+    hit_flags: np.ndarray,
+) -> CycleStatistics:
+    """Reduce simulated cycles to their sums, counting metrics and trace."""
+    n_cycles = lengths.size + downtimes.size
+    hits = int(np.count_nonzero(hit_flags))
     if _metrics.REGISTRY is not None:
         reg = _metrics.REGISTRY
         reg.counter("mc.is.cycles").inc(n_cycles)
@@ -317,10 +308,10 @@ def collect_cycle_statistics(
             bias=bias,
         )
     return CycleStatistics(
-        n_plain=n_plain,
+        n_plain=lengths.size,
         length_sum=float(lengths.sum()),
         length_sumsq=float(np.square(lengths).sum()),
-        n_biased=n_biased,
+        n_biased=downtimes.size,
         downtime_sum=float(downtimes.sum()),
         downtime_sumsq=float(np.square(downtimes).sum()),
         hits=hits,
@@ -366,49 +357,6 @@ def _sample_variance(total: float, total_sq: float, n: int) -> float:
     return max(total_sq - n * mean * mean, 0.0) / (n - 1)
 
 
-def _plain_cycle_length(
-    rows: _Rows, regen: int, rng: np.random.Generator, max_jumps: int
-) -> float:
-    t = 0.0
-    i = regen
-    for _ in range(max_jumps):
-        t += rng.exponential(1.0 / rows.exit[i])
-        cp = np.cumsum(rows.probs[i])
-        i = int(rows.targets[i][np.searchsorted(cp, rng.random(), side="right")])
-        if i == regen:
-            return t
-    raise RuntimeError("cycle did not regenerate within max_jumps")
-
-
-def _biased_cycle_downtime(
-    rows: _Rows,
-    regen: int,
-    failed: int,
-    rng: np.random.Generator,
-    max_jumps: int,
-) -> tuple[float, int]:
-    """One biased cycle: (likelihood-weighted downtime, hit indicator)."""
-    downtime = 0.0
-    weight = 1.0
-    hit = 0
-    i = regen
-    for _ in range(max_jumps):
-        dwell = rng.exponential(1.0 / rows.exit[i])
-        if i == failed:
-            downtime += dwell
-            hit = 1
-        probs = rows.probs[i]
-        biased = rows.biased[i]
-        cp = np.cumsum(biased)
-        k = int(np.searchsorted(cp, rng.random(), side="right"))
-        k = min(k, probs.size - 1)
-        weight *= probs[k] / biased[k]
-        i = int(rows.targets[i][k])
-        if i == regen:
-            return downtime * weight, hit
-    raise RuntimeError("biased cycle did not regenerate within max_jumps")
-
-
 def _plain_cycle_lengths_batch(
     rows: _Rows, regen: int, n: int, rng: np.random.Generator, max_jumps: int
 ) -> np.ndarray:
@@ -450,7 +398,7 @@ def _biased_cycle_downtimes_batch(
 
     The likelihood weight of a cycle multiplies the plain/biased
     probability ratio of *every* jump up to regeneration, exactly as the
-    scalar loop accumulates it; the downtime sum picks up the sojourn
+    reference per-jump loop accumulates it; the downtime sum picks up the sojourn
     times spent in the failed state along the way.
     """
     downtime = np.zeros(n)

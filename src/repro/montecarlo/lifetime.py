@@ -56,52 +56,41 @@ class LifetimeEstimate:
         return bool(np.all(np.abs(self.reliability - other) <= z * self.std_error + 1e-12))
 
 
+def _component_lifetimes(
+    config: DRAConfig,
+    n_samples: int,
+    rng: np.random.Generator,
+    rates: FailureRates | None,
+) -> tuple[np.ndarray, ...]:
+    """``(t_lpi, t_lpd, t_bus, t_bc, t_pi, t_pd)``, in fixed RNG draw order."""
+    rates = rates or FailureRates()
+    return (
+        rng.exponential(1.0 / rates.lam_lpi, n_samples),
+        rng.exponential(1.0 / rates.lam_lpd, n_samples),
+        rng.exponential(1.0 / rates.lam_bus, n_samples),
+        rng.exponential(1.0 / rates.lam_bc, n_samples),
+        rng.exponential(1.0 / rates.lam_pi, (n_samples, config.n_inter_pi)),
+        rng.exponential(1.0 / rates.lam_pd, (n_samples, config.n_inter_pd)),
+    )
+
+
 def sample_lc_failure_times(
     config: DRAConfig,
     n_samples: int,
     rng: np.random.Generator,
     rates: FailureRates | None = None,
-    *,
-    method: str = "vectorized",
 ) -> np.ndarray:
     """Sample ``n_samples`` LC failure times (hours).
 
-    The component lifetimes are always drawn as numpy batches (so both
-    methods consume the RNG stream identically); ``method`` selects how
-    the structure function is evaluated over the sample axis:
-
-    * ``"vectorized"`` (default) -- elementwise numpy min/max over the
-      whole batch at once.
-    * ``"scalar"`` -- a per-sample Python loop applying the same coverage
-      semantics.  Because max/min on IEEE doubles are exact, the two
-      evaluations are **bit-identical**; the scalar path exists as the
-      readable reference implementation and as the denominator of the
-      throughput suite's vectorization-speedup metric.
+    The component lifetimes are drawn as numpy batches and the structure
+    function is evaluated elementwise over the whole sample axis.  Its
+    per-sample reference loop is
+    :func:`repro.validate.oracles.sample_lc_failure_times_scalar`, which
+    makes the same draws and is bit-identical.
     """
-    if method not in ("vectorized", "scalar"):
-        raise ValueError(f"unknown method {method!r}; choose vectorized or scalar")
-    rates = rates or FailureRates()
-    P = config.n_inter_pi
-    D = config.n_inter_pd
-
-    t_lpi = rng.exponential(1.0 / rates.lam_lpi, n_samples)
-    t_lpd = rng.exponential(1.0 / rates.lam_lpd, n_samples)
-    t_bus = rng.exponential(1.0 / rates.lam_bus, n_samples)
-    t_bc = rng.exponential(1.0 / rates.lam_bc, n_samples)
-    t_pi = rng.exponential(1.0 / rates.lam_pi, (n_samples, P))
-    t_pd = rng.exponential(1.0 / rates.lam_pd, (n_samples, D))
-
-    if method == "scalar":
-        out = np.empty(n_samples)
-        for s in range(n_samples):
-            bus_path = max(min(t_bus[s], t_bc[s]), min(t_lpi[s], t_lpd[s]))
-            if t_lpi[s] < t_lpd[s]:
-                unit_path = max(t_lpi[s], t_pi[s].max())
-            else:
-                unit_path = max(t_lpd[s], t_pd[s].max())
-            out[s] = min(bus_path, unit_path)
-        return out
-
+    t_lpi, t_lpd, t_bus, t_bc, t_pi, t_pd = _component_lifetimes(
+        config, n_samples, rng, rates
+    )
     bus_path = np.maximum(np.minimum(t_bus, t_bc), np.minimum(t_lpi, t_lpd))
     pi_path = np.maximum(t_lpi, t_pi.max(axis=1))
     pd_path = np.maximum(t_lpd, t_pd.max(axis=1))

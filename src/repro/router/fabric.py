@@ -13,28 +13,15 @@ Transfer model: one FIFO queue per output port drained at the port's cell
 rate (a standard output-queued crossbar abstraction); the fabric is
 non-blocking on inputs.
 
-Cell-clock dispatch comes in two flavours, mirroring the Monte Carlo
-kernels' ``method=`` switch (``docs/performance.md``):
-
-* ``cell_dispatch="scalar"`` -- the reference oracle: every cell crossing
-  a port schedules its own heap event, exactly the original per-cell
-  clock.
-* ``cell_dispatch="batched"`` (default) -- a run of queued cells is
-  driven by one :meth:`~repro.sim.Engine.schedule_run` burst whose
-  per-cell callbacks fire at their computed timestamps inside it.  The
-  effective rate is re-read at every cell boundary -- the same instant
-  the scalar clock reads it -- so a mid-run ``active_fraction`` change
-  (card fail/repair/spare swap) splits the burst onto the new rate with
-  timestamps bit-identical to the scalar reference.
-
-Both dispatchers read the cached ``_fraction`` maintained by
-:meth:`fail_card` / :meth:`repair_card`; card-health changes must go
-through those methods for the data path to see them.  The only
-observable difference between the modes is queue accounting granularity:
-the scalar clock holds the in-service cell outside the queue while the
-batched clock pops at delivery, so ``queue_depth`` can differ by one
-mid-flight.  Delivery timestamps, trace events, drop accounting and
-counters are bit-identical (``tests/router/test_fabric_dispatch.py``).
+Cell clock: a run of queued cells is driven by one
+:meth:`~repro.sim.Engine.schedule_run` burst whose per-cell callbacks
+fire at their computed timestamps inside it.  The effective rate is
+re-read at every cell boundary from the cached ``_fraction`` maintained
+by :meth:`fail_card` / :meth:`repair_card` (card-health changes must go
+through those methods for the data path to see them), so a mid-run
+``active_fraction`` change (card fail/repair/spare swap) splits the
+burst onto the new rate.  The per-cell reference clock it is tested
+against is :func:`repro.validate.oracles.scalar_cell_clock`.
 """
 
 from __future__ import annotations
@@ -49,10 +36,7 @@ from repro.obs import trace as _trace
 from repro.sim import Engine
 from repro.router.packets import Cell
 
-__all__ = ["FabricCard", "SwitchFabric", "CELL_DISPATCH_MODES"]
-
-#: Recognised cell-clock dispatch modes (``scalar`` is the oracle).
-CELL_DISPATCH_MODES = ("batched", "scalar")
+__all__ = ["FabricCard", "SwitchFabric"]
 
 
 @dataclass
@@ -98,9 +82,6 @@ class SwitchFabric:
         Fabric card complement (default 4 + 1, the Cisco 12000 layout).
         Port rate scales with ``active_fraction`` when cards are lost
         beyond the spares.
-    cell_dispatch:
-        ``"batched"`` (one burst event per run of queued cells) or
-        ``"scalar"`` (one heap event per cell, the reference oracle).
     """
 
     def __init__(
@@ -111,22 +92,15 @@ class SwitchFabric:
         port_rate_cells_per_s: float = 25e6,
         n_active_cards: int = 4,
         n_spare_cards: int = 1,
-        cell_dispatch: str = "batched",
     ) -> None:
         if n_ports < 1:
             raise ValueError(f"fabric needs at least one port, got {n_ports}")
         if n_active_cards < 1 or n_spare_cards < 0:
             raise ValueError("invalid fabric card complement")
-        if cell_dispatch not in CELL_DISPATCH_MODES:
-            raise ValueError(
-                f"unknown cell_dispatch {cell_dispatch!r}; "
-                f"choose from {CELL_DISPATCH_MODES}"
-            )
         self._engine = engine
         self._ports = [_OutputPort() for _ in range(n_ports)]
         self._rate = port_rate_cells_per_s
         self._n_active_required = n_active_cards
-        self.cell_dispatch = cell_dispatch
         self.cards = [
             FabricCard(i, port_rate_cells_per_s / n_active_cards)
             for i in range(n_active_cards + n_spare_cards)
@@ -134,8 +108,8 @@ class SwitchFabric:
         for spare in self.cards[n_active_cards:]:
             spare.active = False
         self.swaps = 0  # spare activations, for stats
-        #: cached ``active_fraction``, refreshed by fail/repair; both
-        #: dispatchers read this at every cell boundary.
+        #: cached ``active_fraction``, refreshed by fail/repair; the cell
+        #: clock reads this at every cell boundary.
         self._fraction = self.active_fraction
 
     @property
@@ -184,15 +158,7 @@ class SwitchFabric:
         ``on_delivered`` fires when the cell finishes crossing, after
         queueing plus the (possibly degraded) serialization delay.
         """
-        if not self.operational:
-            return False
-        if not 0 <= dst_port < len(self._ports):
-            raise ValueError(f"destination port {dst_port} out of range")
-        port = self._ports[dst_port]
-        port.queue.append((cell, on_delivered))
-        if not port.busy:
-            self._begin(dst_port)
-        return True
+        return self.transfer_run((cell,), dst_port, on_delivered)
 
     def transfer_run(
         self,
@@ -202,8 +168,7 @@ class SwitchFabric:
     ) -> bool:
         """Enqueue a run of cells for ``dst_port`` as one scheduled unit.
 
-        The run-batched counterpart of per-cell :meth:`transfer`: one
-        operational check, one queue extension and at most one clock
+        One operational check, one queue extension and at most one clock
         start for the whole run (a segmented packet's cells enter the
         fabric together).  Synchronously equivalent to calling
         :meth:`transfer` per cell -- the fabric cannot die between the
@@ -216,41 +181,8 @@ class SwitchFabric:
         port = self._ports[dst_port]
         port.queue.extend(zip(cells, repeat(on_delivered)))
         if not port.busy and port.queue:
-            self._begin(dst_port)
+            self._start_run(dst_port)
         return True
-
-    def _begin(self, port_idx: int) -> None:
-        """Start the configured cell clock on an idle, non-empty port."""
-        if self.cell_dispatch == "batched":
-            self._start_run(port_idx)
-        else:
-            self._drain(port_idx)
-
-    # -- scalar dispatch: one heap event per cell (the reference oracle) ----
-
-    def _drain(self, port_idx: int) -> None:
-        port = self._ports[port_idx]
-        if not port.queue:
-            port.busy = False
-            return
-        port.busy = True
-        rate = self._rate * self._fraction
-        if rate <= 0.0:
-            # Fabric died with cells in flight: the queue is dropped,
-            # with the loss accounted (metric, trace event, counters).
-            self._drop_queue(port_idx)
-            return
-        cell, callback = port.queue.popleft()
-        delay = 1.0 / rate
-
-        def finish() -> None:
-            port.delivered_cells += 1
-            callback(cell)
-            self._drain(port_idx)
-
-        self._engine.schedule_in(delay, finish, label=f"fabric:port{port_idx}")
-
-    # -- batched dispatch: one burst run per run of queued cells ------------
 
     def _start_run(self, port_idx: int) -> None:
         port = self._ports[port_idx]
@@ -273,9 +205,9 @@ class SwitchFabric:
             if not queue:
                 port.busy = False
                 return None
-            # Re-read the effective rate at the cell boundary -- the
-            # same instant the scalar clock reads it -- so a mid-run
-            # active_fraction change splits the burst onto the new rate.
+            # Re-read the effective rate at the cell boundary, so a
+            # mid-run active_fraction change splits the burst onto the
+            # new rate.
             # A float object holds one value, so while the cached object
             # is still current the spacing needs no recomputing.
             if self._fraction is not fraction:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.obs import trace as _trace
 from repro.router.bus import EIB
 from repro.router.components import ComponentKind
-from repro.router.fabric import CELL_DISPATCH_MODES, SwitchFabric
+from repro.router.fabric import SwitchFabric
 from repro.router.linecard import Linecard
 from repro.router.packets import Packet, Protocol, segment
 from repro.router.planner2 import POLICY_NAMES, make_policy
@@ -80,10 +80,6 @@ class RouterConfig:
     #: LC_inter candidates by headroom/health/spread, replans active
     #: streams on fault news, and sheds rate fairly under EIB overload.
     coverage_policy: str = "static"
-    #: fabric cell-clock dispatch: "batched" drives a run of queued cells
-    #: with one burst event; "scalar" is the per-cell reference oracle
-    #: (bit-identical results, docs/performance.md).
-    cell_dispatch: str = "batched"
 
     def __post_init__(self) -> None:
         if self.n_linecards < 2:
@@ -94,11 +90,6 @@ class RouterConfig:
             raise ValueError(
                 f"unknown coverage policy {self.coverage_policy!r} "
                 f"(choose from {POLICY_NAMES})"
-            )
-        if self.cell_dispatch not in CELL_DISPATCH_MODES:
-            raise ValueError(
-                f"unknown cell_dispatch {self.cell_dispatch!r} "
-                f"(choose from {CELL_DISPATCH_MODES})"
             )
 
     def protocol_of(self, lc_id: int) -> Protocol:
@@ -143,7 +134,6 @@ class Router:
             port_rate_cells_per_s=config.fabric_cell_rate,
             n_active_cards=config.fabric_active_cards,
             n_spare_cards=config.fabric_spare_cards,
-            cell_dispatch=config.cell_dispatch,
         )
 
         self.faults = FaultMap()

@@ -211,13 +211,11 @@ def parallel_performance_sweep(
     n: int = 6,
     c_lc: float = DEFAULT_LC_CAPACITY_GBPS,
     b_bus: float | None = None,
-    jobs: int = 1,  # noqa: ARG001 - accepted for API uniformity
     cache: ResultCache | None = None,
     metrics: RuntimeMetrics | None = None,
 ) -> list[SweepRecord]:
     """Figure 8 records (algebraic -- microseconds of work, so the
-    ``jobs`` argument is accepted for uniformity but the computation runs
-    in-process; the cache still applies)."""
+    computation always runs in-process; the cache still applies)."""
     with Stopwatch() as sw:
         if cache is not None:
             key = cache.key(

@@ -207,13 +207,14 @@ def _bench_cell_dispatch(scale: float) -> tuple[dict, dict]:
     on ``active_fraction`` changes.  Segmentation cost is hoisted out
     of the timed region (one prototype cell run, reused) so the entry
     isolates the dispatch kernel itself.  Identical workload for both
-    modes, so the digests double as an equivalence check: delivery
+    clocks, so the digests double as an equivalence check: delivery
     count, summed delivery times, final clock and event totals must all
     match.
     """
     from repro.router.fabric import SwitchFabric
     from repro.router.packets import CELL_PAYLOAD_BYTES, Cell
     from repro.sim import Engine
+    from repro.validate.oracles import scalar_cell_clock
 
     n_ports = 2
     cells_per_packet = 32
@@ -233,11 +234,9 @@ def _bench_cell_dispatch(scale: float) -> tuple[dict, dict]:
         for s in range(cells_per_packet)
     ]
 
-    def run_mode(mode: str):
+    def run_clock():
         engine = Engine()
-        fabric = SwitchFabric(
-            engine, n_ports, port_rate_cells_per_s=rate, cell_dispatch=mode
-        )
+        fabric = SwitchFabric(engine, n_ports, port_rate_cells_per_s=rate)
         delivered = [0]
         time_sum = [0.0]
 
@@ -267,13 +266,14 @@ def _bench_cell_dispatch(scale: float) -> tuple[dict, dict]:
         )
 
     n_cells = n_inject * cells_per_packet
-    # Alternate the modes' repeats: the speedup ratio then compares runs
+    # Alternate the clocks' repeats: the speedup ratio then compares runs
     # made under the same host load, not two blocks a second apart.
     wall_b = wall_s = float("inf")
     for _ in range(3):
-        res_b, wall = _timed(lambda: run_mode("batched"))
+        res_b, wall = _timed(run_clock)
         wall_b = min(wall_b, wall)
-        res_s, wall = _timed(lambda: run_mode("scalar"))
+        with scalar_cell_clock():
+            res_s, wall = _timed(run_clock)
         wall_s = min(wall_s, wall)
     batched = _entry("sim.cells.batched", "cells", n_cells, wall_b, _digest(res_b))
     scalar = _entry("sim.cells.scalar", "cells", n_cells, wall_s, _digest(res_s))
@@ -282,8 +282,8 @@ def _bench_cell_dispatch(scale: float) -> tuple[dict, dict]:
 
 def _bench_mc_lifetime(seed: int, jobs: int, scale: float) -> tuple[dict, dict]:
     from repro.core import DRAConfig
-    from repro.montecarlo import sample_lc_failure_times
     from repro.runtime.montecarlo import parallel_structure_function_reliability
+    from repro.validate.oracles import sample_lc_failure_times_scalar
 
     cfg = DRAConfig(n=9, m=4)
     times = np.linspace(0.0, 100_000.0, 11)
@@ -305,8 +305,8 @@ def _bench_mc_lifetime(seed: int, jobs: int, scale: float) -> tuple[dict, dict]:
     )
 
     sc_times, wall_sc = _timed(
-        lambda: sample_lc_failure_times(
-            cfg, n_scalar, np.random.default_rng(seed), method="scalar"
+        lambda: sample_lc_failure_times_scalar(
+            cfg, n_scalar, np.random.default_rng(seed)
         ),
         repeats=3,
     )
@@ -320,8 +320,8 @@ def _bench_mc_is(seed: int, jobs: int, scale: float) -> tuple[dict, dict]:
     from repro.core import DRAConfig, RepairPolicy
     from repro.core.availability import build_dra_availability_chain
     from repro.core.states import Failed
-    from repro.montecarlo import collect_cycle_statistics
     from repro.runtime.montecarlo import parallel_unavailability_importance_sampling
+    from repro.validate.oracles import collect_cycle_statistics_scalar
 
     cfg = DRAConfig(n=3, m=2)
     repair = RepairPolicy.three_hours()
@@ -349,8 +349,8 @@ def _bench_mc_is(seed: int, jobs: int, scale: float) -> tuple[dict, dict]:
 
     chain = build_dra_availability_chain(cfg, repair)
     stats, wall_s = _timed(
-        lambda: collect_cycle_statistics(
-            chain, Failed, n_scalar, np.random.default_rng(seed), method="scalar"
+        lambda: collect_cycle_statistics_scalar(
+            chain, Failed, n_scalar, np.random.default_rng(seed)
         ),
         repeats=3,
     )

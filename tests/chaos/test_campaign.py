@@ -6,7 +6,7 @@ import pytest
 
 from repro.chaos.campaign import (
     CampaignConfig,
-    _trace_window,
+    _violation_artifacts,
     run_campaign,
     run_schedule,
 )
@@ -51,9 +51,10 @@ class TestCampaign:
         assert len(r1["schedules"]) == SMALL.seeds
 
     def test_trace_window_replay_captures_events(self):
-        window = _trace_window(SMALL, 0)
+        window, incidents = _violation_artifacts(SMALL, 0)
         assert 0 < len(window) <= SMALL.trace_events
         assert all({"seq", "t", "kind", "data"} <= set(ev) for ev in window)
+        assert incidents["schema"] == "repro-incidents"
 
 
 class TestPolicyMatrix:

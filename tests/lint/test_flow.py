@@ -18,6 +18,7 @@ import pytest
 from repro.cli import main
 from repro.lint import GRAPH_SCHEMA_VERSION, lint_paths
 from repro.lint.flow.rules5xx import FLOW_RULES
+from repro.lint.rules import RULES
 from repro.obs.metrics import MetricsRegistry, collecting
 
 
@@ -558,11 +559,19 @@ class TestCliGate:
         assert rc != 0
         assert code in out
 
-    def test_no_interprocedural_skips_the_pass(self, tmp_path, capsys):
+    def test_ignore_dra5_skips_the_pass(self, tmp_path, capsys, monkeypatch):
         _write_tree(tmp_path, BAD_DRA503)
-        rc = main(["lint", str(tmp_path), "--no-interprocedural"])
+        assert main(["lint", str(tmp_path)]) != 0
         capsys.readouterr()
-        assert rc == 0
+
+        def no_flow_pass(contexts):
+            raise AssertionError("flow pass ran with every DRA5 code ignored")
+
+        monkeypatch.setattr("repro.lint.flow.analyze_project", no_flow_pass)
+        assert main(["lint", str(tmp_path), "--ignore", "DRA5"]) == 0
+        capsys.readouterr()
+        report = lint_paths([str(tmp_path)], ignore=frozenset({"DRA5"}))
+        assert report.selected == tuple(sorted(RULES))
 
     def test_graph_out_via_cli(self, tmp_path, capsys):
         _write_tree(tmp_path, {"src/repro/mc/a.py": "def f():\n    return 1\n"})

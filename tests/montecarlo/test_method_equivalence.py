@@ -1,15 +1,16 @@
-"""The batched/scalar method contract (docs/performance.md).
+"""The batched-vs-oracle contract (docs/performance.md).
 
-Every vectorized Monte Carlo kernel keeps its original scalar loop as a
-``method="scalar"`` reference.  The contract, over a seed matrix:
+Every vectorized Monte Carlo kernel has its original scalar loop as a
+reference in :mod:`repro.validate.oracles`.  The contract, over a seed
+matrix:
 
-* ``lifetime``: both methods draw the *same* numpy batches and evaluate
-  an exact max/min structure function, so they are **bit-identical**;
+* ``lifetime``: both draw the *same* numpy batches and evaluate an exact
+  max/min structure function, so they are **bit-identical**;
 * ``importance`` / ``ctmc_mc``: the batched kernels consume the RNG
   stream in a different order, so results are not bit-identical -- each
-  method must independently agree with the analytic solvers within its
-  own confidence interval, and each method must be a deterministic
-  function of its seed.
+  side must independently agree with the analytic solvers within its
+  own confidence interval, and each must be a deterministic function of
+  its seed.
 """
 
 import numpy as np
@@ -18,17 +19,37 @@ import pytest
 from repro.core import DRAConfig, RepairPolicy, dra_availability
 from repro.core.availability import build_dra_availability_chain
 from repro.core.states import Failed
-from repro.markov import transient_distribution
+from repro.markov import stationary_distribution, transient_distribution
 from repro.montecarlo import (
     collect_cycle_statistics,
+    empirical_availability,
     empirical_state_probabilities,
     result_from_statistics,
     sample_lc_failure_times,
-    unavailability_importance_sampling,
 )
-from repro.validate import assert_mc_fraction_consistent
+from repro.validate import assert_mc_fraction_consistent, assert_mc_mean_consistent
+from repro.validate.oracles import (
+    collect_cycle_statistics_scalar,
+    empirical_availability_scalar,
+    empirical_state_probabilities_scalar,
+    sample_lc_failure_times_scalar,
+)
 
 SEED_MATRIX = [0, 1, 12345]
+
+#: production kernel and its reference oracle, by test id
+CYCLE_STATISTICS = {
+    "batched": collect_cycle_statistics,
+    "scalar": collect_cycle_statistics_scalar,
+}
+STATE_PROBABILITIES = {
+    "batched": empirical_state_probabilities,
+    "scalar": empirical_state_probabilities_scalar,
+}
+AVAILABILITY = {
+    "batched": empirical_availability,
+    "scalar": empirical_availability_scalar,
+}
 
 
 class TestLifetimeBitIdentity:
@@ -36,16 +57,8 @@ class TestLifetimeBitIdentity:
     def test_scalar_reproduces_vectorized_bitwise(self, seed):
         cfg = DRAConfig(n=9, m=4)
         vec = sample_lc_failure_times(cfg, 500, np.random.default_rng(seed))
-        sc = sample_lc_failure_times(
-            cfg, 500, np.random.default_rng(seed), method="scalar"
-        )
+        sc = sample_lc_failure_times_scalar(cfg, 500, np.random.default_rng(seed))
         assert np.array_equal(vec, sc)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            sample_lc_failure_times(
-                DRAConfig(n=3, m=2), 10, np.random.default_rng(0), method="mystery"
-            )
 
 
 class TestImportanceSamplingMethods:
@@ -56,8 +69,8 @@ class TestImportanceSamplingMethods:
         cfg = DRAConfig(n=3, m=2)
         chain = build_dra_availability_chain(cfg, rp)
         exact = 1.0 - dra_availability(cfg, rp).availability
-        res = unavailability_importance_sampling(
-            chain, Failed, 8_000, np.random.default_rng(seed), method=method
+        res = result_from_statistics(
+            CYCLE_STATISTICS[method](chain, Failed, 8_000, np.random.default_rng(seed))
         )
         assert res.consistent_with(exact, z=6.0)
         assert res.hit_fraction > 0.05
@@ -68,19 +81,11 @@ class TestImportanceSamplingMethods:
             DRAConfig(n=3, m=2), RepairPolicy.three_hours()
         )
         runs = [
-            collect_cycle_statistics(
-                chain, Failed, 1_000, np.random.default_rng(7), method=method
-            )
+            CYCLE_STATISTICS[method](chain, Failed, 1_000, np.random.default_rng(7))
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
         assert result_from_statistics(runs[0]) == result_from_statistics(runs[1])
-
-    def test_unknown_method_rejected(self, two_state_chain, rng):
-        with pytest.raises(ValueError, match="method"):
-            collect_cycle_statistics(
-                two_state_chain, "down", 100, rng, method="mystery"
-            )
 
 
 class TestTrajectoryMethods:
@@ -91,8 +96,8 @@ class TestTrajectoryMethods:
     ):
         times = np.array([0.5, 2.0, 10.0])
         n = 2_000
-        emp = empirical_state_probabilities(
-            two_state_chain, times, n, np.random.default_rng(seed), method=method
+        emp = STATE_PROBABILITIES[method](
+            two_state_chain, times, n, np.random.default_rng(seed)
         )
         exact = transient_distribution(two_state_chain, times)
         for i, t in enumerate(times):
@@ -106,15 +111,23 @@ class TestTrajectoryMethods:
     def test_method_is_deterministic_in_seed(self, method, two_state_chain):
         times = np.array([1.0, 4.0])
         runs = [
-            empirical_state_probabilities(
-                two_state_chain, times, 500, np.random.default_rng(3), method=method
+            STATE_PROBABILITIES[method](
+                two_state_chain, times, 500, np.random.default_rng(3)
             )
             for _ in range(2)
         ]
         assert np.array_equal(runs[0], runs[1])
 
-    def test_unknown_method_rejected(self, two_state_chain, rng):
-        with pytest.raises(ValueError, match="method"):
-            empirical_state_probabilities(
-                two_state_chain, np.array([1.0]), 10, rng, method="mystery"
-            )
+    @pytest.mark.parametrize("seed", SEED_MATRIX)
+    @pytest.mark.parametrize("method", ["batched", "scalar"])
+    def test_availability_consistent_with_solver(
+        self, seed, method, two_state_chain
+    ):
+        pi = stationary_distribution(two_state_chain)
+        down_idx = two_state_chain.index_of("down")
+        est, se = AVAILABILITY[method](
+            two_state_chain, down_idx, 2000.0, 60, np.random.default_rng(seed)
+        )
+        assert_mc_mean_consistent(
+            est, se, 1.0 - pi[down_idx], label=f"{method} availability"
+        )

@@ -11,7 +11,7 @@ intermittent unit whose flapping must yield one span per activation.
 
 import pytest
 
-from repro.chaos.campaign import CampaignConfig, _replay_for_trace
+from repro.chaos.campaign import CampaignConfig, _simulate
 from repro.chaos.detection import DetectionConfig
 from repro.obs import SpanBuilder, TraceEvent, build_incident_report, tracing
 from repro.router import ComponentKind, Router, RouterConfig, RouterMode
@@ -46,7 +46,7 @@ class TestCampaignPin:
         total = 0
         for idx in range(CFG.seeds):
             with tracing() as tracer:
-                _replay_for_trace(CFG, idx)
+                _simulate(CFG, idx)
             injected = sorted(
                 {
                     ev.data["fault_id"]
@@ -65,7 +65,7 @@ class TestCampaignPin:
 
     def test_report_accounts_for_all_spans(self):
         with tracing() as tracer:
-            _replay_for_trace(CFG, 0)
+            _simulate(CFG, 0)
         spans = SpanBuilder().feed_all(tracer.events).spans()
         report = build_incident_report(spans, source="pin")
         assert report["schema"] == "repro-incidents"

@@ -4,26 +4,30 @@ import pytest
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.router.fabric import CELL_DISPATCH_MODES, SwitchFabric
+from repro.router.fabric import SwitchFabric
 from repro.router.packets import Cell
 from repro.sim import Engine
+from repro.validate.oracles import scalar_cell_clock
 
 
 def cell(dst=1, pkt=1, seq=0, total=1):
     return Cell(pkt_id=pkt, seq=seq, total=total, payload_bytes=48, dst_lc=dst)
 
 
-@pytest.fixture(params=CELL_DISPATCH_MODES)
+@pytest.fixture(params=["batched", "scalar"])
 def dispatch(request):
-    return request.param
+    """Run the test on the burst clock and on the per-cell oracle."""
+    if request.param == "batched":
+        yield
+    else:
+        with scalar_cell_clock():
+            yield
 
 
 class TestTransfer:
     def test_cell_delivered_after_serialization(self, dispatch):
         eng = Engine()
-        fabric = SwitchFabric(
-            eng, 4, port_rate_cells_per_s=1e6, cell_dispatch=dispatch
-        )
+        fabric = SwitchFabric(eng, 4, port_rate_cells_per_s=1e6)
         got = []
         assert fabric.transfer(cell(), 1, lambda c: got.append((eng.now, c)))
         eng.run()
@@ -32,7 +36,7 @@ class TestTransfer:
 
     def test_fifo_order_per_port(self, dispatch):
         eng = Engine()
-        fabric = SwitchFabric(eng, 4, cell_dispatch=dispatch)
+        fabric = SwitchFabric(eng, 4)
         got = []
         for seq in range(3):
             fabric.transfer(cell(seq=seq, total=3), 1, lambda c: got.append(c.seq))
@@ -41,9 +45,7 @@ class TestTransfer:
 
     def test_ports_drain_independently(self, dispatch):
         eng = Engine()
-        fabric = SwitchFabric(
-            eng, 4, port_rate_cells_per_s=1e6, cell_dispatch=dispatch
-        )
+        fabric = SwitchFabric(eng, 4, port_rate_cells_per_s=1e6)
         times = {}
         fabric.transfer(cell(dst=1), 1, lambda c: times.setdefault(1, eng.now))
         fabric.transfer(cell(dst=2), 2, lambda c: times.setdefault(2, eng.now))
@@ -53,35 +55,29 @@ class TestTransfer:
 
     def test_queue_depth(self, dispatch):
         eng = Engine()
-        fabric = SwitchFabric(eng, 4, cell_dispatch=dispatch)
+        fabric = SwitchFabric(eng, 4)
         for _ in range(5):
             fabric.transfer(cell(), 1, lambda c: None)
         assert fabric.queue_depth(1) >= 3  # one in service, rest queued
 
     def test_invalid_port_rejected(self, dispatch):
         eng = Engine()
-        fabric = SwitchFabric(eng, 4, cell_dispatch=dispatch)
+        fabric = SwitchFabric(eng, 4)
         with pytest.raises(ValueError, match="port"):
             fabric.transfer(cell(), 9, lambda c: None)
 
     def test_delivered_counter(self, dispatch):
         eng = Engine()
-        fabric = SwitchFabric(eng, 4, cell_dispatch=dispatch)
+        fabric = SwitchFabric(eng, 4)
         fabric.transfer(cell(), 2, lambda c: None)
         eng.run()
         assert fabric.delivered_cells(2) == 1
-
-    def test_unknown_dispatch_rejected(self):
-        with pytest.raises(ValueError, match="cell_dispatch"):
-            SwitchFabric(Engine(), 4, cell_dispatch="simd")
 
 
 class TestTransferRun:
     def test_run_delivers_every_cell_in_order(self, dispatch):
         eng = Engine()
-        fabric = SwitchFabric(
-            eng, 4, port_rate_cells_per_s=1e6, cell_dispatch=dispatch
-        )
+        fabric = SwitchFabric(eng, 4, port_rate_cells_per_s=1e6)
         got = []
         cells = [cell(seq=s, total=4) for s in range(4)]
         assert fabric.transfer_run(cells, 1, lambda c: got.append((c.seq, eng.now)))
@@ -94,9 +90,7 @@ class TestTransferRun:
     def test_run_matches_per_cell_transfers(self, dispatch):
         def deliveries(use_run: bool):
             eng = Engine()
-            fabric = SwitchFabric(
-                eng, 4, port_rate_cells_per_s=1e6, cell_dispatch=dispatch
-            )
+            fabric = SwitchFabric(eng, 4, port_rate_cells_per_s=1e6)
             got = []
             cells = [cell(seq=s, total=3) for s in range(3)]
             if use_run:
@@ -111,20 +105,20 @@ class TestTransferRun:
 
     def test_empty_run_is_a_noop(self, dispatch):
         eng = Engine()
-        fabric = SwitchFabric(eng, 4, cell_dispatch=dispatch)
+        fabric = SwitchFabric(eng, 4)
         assert fabric.transfer_run([], 1, lambda c: None)
         assert fabric.queue_depth(1) == 0
         eng.run()
         assert fabric.delivered_cells(1) == 0
 
     def test_dead_fabric_refuses_run(self, dispatch):
-        fabric = SwitchFabric(Engine(), 4, cell_dispatch=dispatch)
+        fabric = SwitchFabric(Engine(), 4)
         for i in range(5):
             fabric.fail_card(i)
         assert not fabric.transfer_run([cell()], 1, lambda c: None)
 
     def test_out_of_range_port_rejected(self, dispatch):
-        fabric = SwitchFabric(Engine(), 4, cell_dispatch=dispatch)
+        fabric = SwitchFabric(Engine(), 4)
         for bad in (-1, 4):
             with pytest.raises(ValueError, match="port"):
                 fabric.transfer_run([cell()], bad, lambda c: None)
@@ -177,9 +171,7 @@ class TestCardSparing:
 
     def test_degraded_rate_slows_delivery(self, dispatch):
         eng = Engine()
-        fabric = SwitchFabric(
-            eng, 4, port_rate_cells_per_s=1e6, cell_dispatch=dispatch
-        )
+        fabric = SwitchFabric(eng, 4, port_rate_cells_per_s=1e6)
         fabric.fail_card(0)
         fabric.fail_card(1)  # active fraction 0.75
         got = []
@@ -242,9 +234,7 @@ class TestDropAccounting:
         # in service still lands (t=6 us), the other 14 are dropped --
         # and every one of the 20 is accounted: delivered + dropped.
         eng = Engine()
-        fabric = SwitchFabric(
-            eng, 4, port_rate_cells_per_s=1e6, cell_dispatch=dispatch
-        )
+        fabric = SwitchFabric(eng, 4, port_rate_cells_per_s=1e6)
         got = []
         cells = [cell(seq=s, total=20) for s in range(20)]
         fabric.transfer_run(cells, 1, lambda c: got.append(eng.now))
@@ -259,9 +249,7 @@ class TestDropAccounting:
 
     def test_drop_emits_metric_and_trace_event(self, dispatch):
         eng = Engine()
-        fabric = SwitchFabric(
-            eng, 4, port_rate_cells_per_s=1e6, cell_dispatch=dispatch
-        )
+        fabric = SwitchFabric(eng, 4, port_rate_cells_per_s=1e6)
         cells = [cell(seq=s, total=10) for s in range(10)]
         fabric.transfer_run(cells, 2, lambda c: None)
         eng.schedule(2.5e-6, lambda: self._kill_all(fabric))
@@ -276,7 +264,7 @@ class TestDropAccounting:
 
     def test_new_transfers_refused_after_death(self, dispatch):
         eng = Engine()
-        fabric = SwitchFabric(eng, 4, cell_dispatch=dispatch)
+        fabric = SwitchFabric(eng, 4)
         fabric.transfer(cell(), 1, lambda c: None)
         self._kill_all(fabric)
         assert not fabric.transfer(cell(), 1, lambda c: None)

@@ -1,19 +1,22 @@
-"""Batched-vs-scalar cell-dispatch equivalence oracle.
+"""Burst cell clock vs its per-cell reference oracle.
 
-The contract (docs/performance.md): ``cell_dispatch="batched"`` must be
-*event-content bit-identical* to the ``"scalar"`` reference -- same
+The contract (docs/performance.md): the fabric's burst clock must be
+*event-content bit-identical* to
+:func:`repro.validate.oracles.scalar_cell_clock` -- same
 delivery timestamps to the ulp, same trace events (including the
 engine's per-event ``sim.fire`` stream and its sequence numbers), same
 counters -- on any seeded workload.  Three layers of evidence:
 
 1. a seed x jobs matrix of full chaos campaigns whose JSON reports must
-   match exactly (both coverage policies);
+   match exactly (both coverage policies; the oracle side runs serially,
+   since its clock patch is process-local);
 2. full in-memory traces of a replayed schedule compared event by event;
 3. hypothesis property tests driving a bare fabric with random cell runs
    and mid-burst ``fail_card``/``repair_card`` churn, asserting exact
    (``==``, not approx) equality of every delivery tuple.
 """
 
+import contextlib
 import itertools
 import json
 
@@ -21,57 +24,52 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.campaign import CampaignConfig, _replay_for_trace, run_campaign
+from repro.chaos.campaign import CampaignConfig, _simulate, run_campaign
 from repro.obs import trace as _trace
 from repro.router import packets as _packets
 from repro.router.fabric import SwitchFabric
 from repro.router.packets import Cell
 from repro.sim import Engine
+from repro.validate.oracles import scalar_cell_clock
 
 
-def _campaign_report(base_seed: int, jobs: int, dispatch: str, policy: str) -> dict:
+def _clock(dispatch: str):
+    """The burst clock as is, or the per-cell oracle patched in."""
+    return scalar_cell_clock() if dispatch == "scalar" else contextlib.nullcontext()
+
+
+def _campaign_json(base_seed: int, jobs: int, policy: str) -> str:
     cfg = CampaignConfig(
         seeds=2,
         base_seed=base_seed,
         duration_s=0.002,
         drain_s=0.012,
         coverage_policy=policy,
-        cell_dispatch=dispatch,
     )
-    report = run_campaign(cfg, jobs=jobs)
-    # The configs legitimately differ in their cell_dispatch field; every
-    # *result* byte must be identical.
-    report.pop("config")
-    return report
+    return json.dumps(run_campaign(cfg, jobs=jobs), sort_keys=True)
+
+
+def _oracle_campaign_json(base_seed: int, policy: str) -> str:
+    with scalar_cell_clock():
+        return _campaign_json(base_seed, 1, policy)
 
 
 class TestCampaignBitIdentity:
     @pytest.mark.parametrize("base_seed", [0, 1, 12345])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_seed_matrix(self, base_seed, jobs):
-        batched = _campaign_report(base_seed, jobs, "batched", "static")
-        scalar = _campaign_report(base_seed, jobs, "scalar", "static")
-        assert json.dumps(batched, sort_keys=True) == json.dumps(
-            scalar, sort_keys=True
-        )
+        # The full report, config included, must match byte for byte.
+        batched = _campaign_json(base_seed, jobs, "static")
+        assert batched == _oracle_campaign_json(base_seed, "static")
 
     def test_adaptive_policy(self):
-        batched = _campaign_report(0, 1, "batched", "adaptive")
-        scalar = _campaign_report(0, 1, "scalar", "adaptive")
-        assert json.dumps(batched, sort_keys=True) == json.dumps(
-            scalar, sort_keys=True
-        )
+        batched = _campaign_json(0, 1, "adaptive")
+        assert batched == _oracle_campaign_json(0, "adaptive")
 
 
 class TestTraceBitIdentity:
     def _capture(self, dispatch: str) -> list[tuple]:
-        cfg = CampaignConfig(
-            seeds=1,
-            base_seed=7,
-            duration_s=0.002,
-            drain_s=0.012,
-            cell_dispatch=dispatch,
-        )
+        cfg = CampaignConfig(seeds=1, base_seed=7, duration_s=0.002, drain_s=0.012)
         # Packet ids come from a process-global counter; restart it so
         # the two captures mint identical ids for identical packets.
         _packets._packet_ids = itertools.count()
@@ -79,7 +77,8 @@ class TestTraceBitIdentity:
         previous = _trace.TRACER
         _trace.set_tracer(tracer)
         try:
-            _replay_for_trace(cfg, 0)
+            with _clock(dispatch):
+                _simulate(cfg, 0)
         finally:
             _trace.set_tracer(previous)
         return [(ev.seq, ev.t, ev.kind, ev.data) for ev in tracer.events]
@@ -111,9 +110,7 @@ _ops = st.lists(
 def _drive(ops, dispatch: str):
     """Run one scripted workload; return every observable outcome."""
     eng = Engine()
-    fabric = SwitchFabric(
-        eng, 2, port_rate_cells_per_s=1e6, cell_dispatch=dispatch
-    )
+    fabric = SwitchFabric(eng, 2, port_rate_cells_per_s=1e6)
     deliveries: list[tuple] = []
 
     def schedule_op(t, kind, card, n_cells, port):
@@ -138,7 +135,8 @@ def _drive(ops, dispatch: str):
 
     for i, (t, kind, card, n_cells) in enumerate(ops):
         schedule_op(t, kind, card, n_cells, port=i % 2)
-    eng.run()
+    with _clock(dispatch):
+        eng.run()
     return (
         deliveries,
         [fabric.delivered_cells(p) for p in range(2)],
@@ -163,17 +161,18 @@ class TestBurstSplitProperties:
         # to exactly 1/0.75 us from that boundary on, in both modes.
         for dispatch in ("batched", "scalar"):
             eng = Engine()
-            fabric = SwitchFabric(
-                eng, 2, port_rate_cells_per_s=1e6, cell_dispatch=dispatch
-            )
+            fabric = SwitchFabric(eng, 2, port_rate_cells_per_s=1e6)
             times = []
             cells = [
                 Cell(pkt_id=0, seq=s, total=4, payload_bytes=48, dst_lc=0)
                 for s in range(4)
             ]
-            fabric.transfer_run(cells, 0, lambda c: times.append(eng.now))
-            eng.schedule(2.5e-6, lambda f=fabric: (f.fail_card(0), f.fail_card(1)))
-            eng.run()
+            with _clock(dispatch):
+                fabric.transfer_run(cells, 0, lambda c: times.append(eng.now))
+                eng.schedule(
+                    2.5e-6, lambda f=fabric: (f.fail_card(0), f.fail_card(1))
+                )
+                eng.run()
             assert times[:2] == [1e-6, 2e-6]
             t2 = 2e-6 + 1e-6  # third boundary, full-rate float arithmetic
             slow = 1.0 / (1e6 * 0.75)

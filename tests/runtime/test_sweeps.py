@@ -97,7 +97,7 @@ class TestAvailabilitySweep:
 
 class TestPerformanceSweep:
     def test_matches_serial_records_exactly(self):
-        assert parallel_performance_sweep(jobs=4) == performance_sweep()
+        assert parallel_performance_sweep() == performance_sweep()
 
     def test_cached(self, tmp_path):
         cache = ResultCache(tmp_path)

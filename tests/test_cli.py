@@ -271,6 +271,14 @@ class TestChaosCommand:
         assert events  # schedule 0 re-ran in-process under the tracer
         assert get_tracer() is None  # tracer torn down cleanly
 
+    def test_cell_dispatch_flag_is_gone(self, capsys):
+        # The per-cell reference clock is a test oracle
+        # (repro.validate.oracles), not a CLI option.
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--seeds", "1", "--cell-dispatch", "scalar"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cell-dispatch" in capsys.readouterr().err
+
 
 class TestIncidentsCommand:
     """The incidents subcommand: fold traces into repro-incidents v1."""

@@ -1,12 +1,15 @@
-"""docs/cli.md must cover the full parser surface (the CI freshness gate).
+"""docs/cli.md must match the full parser surface (the CI freshness gate).
 
 Introspects :func:`repro.cli.build_parser` -- the single source of truth
 for the CLI -- and fails when a subcommand or flag exists that
-``docs/cli.md`` never mentions.  New CLI surface therefore cannot merge
-without documentation; see docs/cli.md's header note.
+``docs/cli.md`` never mentions, or when the doc mentions a flag the
+parser does not have.  New CLI surface therefore cannot merge without
+documentation, and removed surface cannot linger in it; see
+docs/cli.md's header note.
 """
 
 import argparse
+import re
 from pathlib import Path
 
 import pytest
@@ -55,6 +58,19 @@ def test_every_flag_is_mentioned(cli_doc, commands):
     assert not missing, (
         f"docs/cli.md never mentions: {', '.join(missing)}"
     )
+
+
+def test_every_documented_flag_exists(cli_doc, commands):
+    parser = build_parser()
+    known = {
+        opt
+        for p in (parser, *commands.values())
+        for action in p._actions
+        for opt in action.option_strings
+    }
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", cli_doc))
+    stale = sorted(documented - known)
+    assert not stale, f"docs/cli.md mentions flags the parser lacks: {stale}"
 
 
 def test_every_positional_is_mentioned(cli_doc, commands):
