@@ -16,7 +16,7 @@ Usage::
     python -m repro trace FILE [--kind PREFIX] [--limit N] [--json] [--strict]
     python -m repro incidents FILE [FILE ...] [--json-out PATH] [--jobs N]
     python -m repro lint [PATHS ...] [--select CODES] [--ignore CODES]
-                         [--format text|json] [--jobs N]
+                         [--format text|json] [--graph-out FILE]
 
 ``validate`` runs the differential validation suite -- every analytic
 quantity paired with an independent Monte Carlo / simulation estimator,
@@ -44,9 +44,9 @@ re-convergence, correlated by the ``fault_id`` minted at injection --
 and prints the timeline plus recovery-latency distributions (JSON report
 via ``--json-out``, byte-identical for any ``--jobs``).
 ``lint`` runs the AST invariant linter of ``docs/static-analysis.md``
-over the tree and exits nonzero on any finding.  ``--metrics-out FILE``
-on any trace-capable subcommand exports the run's metrics registry in
-Prometheus text format.  See ``docs/cli.md``
+over the tree, in one process, and exits nonzero on any finding.
+``--metrics-out FILE`` on any trace-capable subcommand exports the
+run's metrics registry in Prometheus text format.  See ``docs/cli.md``
 and ``docs/performance.md``.
 """
 
@@ -700,11 +700,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             args.paths,
             select=_parse_codes(args.select),
             ignore=_parse_codes(args.ignore),
-            jobs=args.jobs,
             graph_out=args.graph_out,
         )
     # timing goes to stderr: stdout (text or JSON) must stay
-    # byte-identical across runs and --jobs values
+    # byte-identical across runs
     print(f"lint: wall {report.wall_ms:.1f} ms", file=sys.stderr)
     if args.format == "json":
         print(json.dumps(report.to_payload(), indent=2, sort_keys=True))
@@ -959,13 +958,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="text", choices=["text", "json"],
                    help="findings as one line each, or a schema-versioned "
                         "JSON document")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (0 = all cores; default 1 = serial)")
     p.add_argument("--graph-out", dest="graph_out", metavar="FILE",
                    default=None,
                    help="export the project call graph as schema-versioned "
-                        "JSON (repro-callgraph v1; byte-identical for any "
-                        "--jobs)")
+                        "JSON (repro-callgraph v1; byte-identical across "
+                        "runs)")
     add_trace_flag(p)
     p.set_defaults(func=_cmd_lint)
 

@@ -19,10 +19,10 @@ and process-pool boundaries -- and can export that graph as
 schema-versioned JSON (``lint --graph-out``).
 
 See ``docs/static-analysis.md`` for the rule catalogue (``DRA1xx``
-determinism, ``DRA2xx`` observability, ``DRA3xx`` testing hygiene,
-``DRA4xx`` CLI surface, ``DRA5xx`` interprocedural), the
-``# dra: noqa[CODE] reason=...`` suppression policy, and how to add a
-rule.
+determinism, ``DRA3xx`` testing hygiene, ``DRA4xx`` CLI surface,
+``DRA5xx`` interprocedural, sorted dispatch and trace/metric names
+included), the ``# dra: noqa[CODE] reason=...`` suppression policy,
+and how to add a rule.
 """
 
 from repro.lint.engine import (
@@ -31,7 +31,6 @@ from repro.lint.engine import (
     LintReport,
     iter_python_files,
     lint_paths,
-    round_robin_chunks,
 )
 from repro.lint.findings import Finding
 from repro.lint.flow import GRAPH_SCHEMA_VERSION, analyze_project
@@ -54,7 +53,6 @@ __all__ = [
     "analyze_project",
     "iter_python_files",
     "lint_paths",
-    "round_robin_chunks",
     "rule",
     "scan_suppressions",
 ]

@@ -1,25 +1,20 @@
-"""File discovery, rule execution and the parallel driver.
+"""File discovery, rule execution and report assembly.
 
-The engine mirrors the determinism discipline it enforces:
+The engine mirrors the determinism discipline it enforces.  One run is
+one in-process pipeline:
 
-* files are discovered in sorted path order and assigned to ``--jobs``
-  chunks by **sorted round-robin** (``files[i::jobs]``), so the chunk
-  layout is a pure function of the file list -- not of partition
-  arithmetic that shifts when ``len(files) < jobs``;
-* each file is read, parsed and suppression-scanned exactly **once per
-  process** (:meth:`FileContext.build`), and every rule shares the
-  cached AST walk / parent map on that context;
-* the interprocedural pass (:mod:`repro.lint.flow`) runs once, in the
-  driver process, over the full sorted file set -- so its findings and
-  the ``--graph-out`` JSON are byte-identical for any ``--jobs`` value.
-  It runs whenever a DRA5xx rule is selected or a graph is requested;
-* findings sort by (path, line, col, code) before reporting.
+1. discover files in sorted path order;
+2. read, parse and suppression-scan each file exactly **once**
+   (:meth:`FileContext.build`);
+3. run the selected per-file rules over every context, sharing its
+   cached AST walk;
+4. run the interprocedural pass (:mod:`repro.lint.flow`) over the same
+   contexts whenever a DRA5xx rule is selected or a graph is requested;
+5. filter codes, apply suppressions, count the ``lint.*`` metrics and
+   sort findings by (path, line, col, code) -- once, for both tiers.
 
-Workers count ``lint.*`` metrics into the process-global registry hook,
-which :func:`repro.runtime.executor.metered_parallel_map` merges
-exactly in submission order; the driver adds ``lint.wall_ms`` at the
-end (a gauge, reported out-of-band so timing never perturbs report
-bytes).
+The driver sets ``lint.wall_ms`` at the end (a gauge, reported
+out-of-band so timing never perturbs report bytes).
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from repro.lint.flow.rules5xx import FLOW_RULES
 from repro.lint.rules import RULES
 from repro.lint.suppress import apply_suppressions
 from repro.obs import metrics as _metrics
-from repro.runtime.executor import metered_parallel_map
 from repro.runtime.timing import Stopwatch
 
 __all__ = ["LINT_SCHEMA_VERSION", "PARSE_ERROR_CODE", "LintReport", "lint_paths"]
@@ -61,7 +55,7 @@ class LintReport:
     selected: tuple[str, ...] = field(default=())
     #: wall time of the run in milliseconds (reported out-of-band: it is
     #: deliberately NOT part of :meth:`to_payload` nor of report
-    #: equality, which must stay identical across runs and ``--jobs``)
+    #: equality, which must stay identical across runs)
     wall_ms: float = field(default=0.0, compare=False)
 
     @property
@@ -106,18 +100,6 @@ def iter_python_files(paths: list[str]) -> list[str]:
     return sorted(out)
 
 
-def round_robin_chunks(files: list[str], jobs: int) -> list[list[str]]:
-    """Deterministic chunk assignment: sorted round-robin, no empties.
-
-    ``files[i::jobs]`` depends only on the sorted file list and the job
-    count -- when ``len(files) < jobs`` the surplus chunks are simply
-    empty and dropped, instead of shifting the partition boundaries the
-    way size-based arithmetic does.
-    """
-    n = max(1, jobs)
-    return [chunk for i in range(n) if (chunk := files[i::n])]
-
-
 def _parse_error_finding(relpath: str, exc: SyntaxError) -> Finding:
     return Finding(
         path=relpath,
@@ -128,100 +110,12 @@ def _parse_error_finding(relpath: str, exc: SyntaxError) -> Finding:
     )
 
 
-def _lint_context(
-    ctx: FileContext,
-    select: frozenset[str] | None,
-    ignore: frozenset[str] | None,
-) -> tuple[list[Finding], int]:
-    """Run every per-file rule over one prebuilt context."""
-    findings = list(ctx.suppression_findings)
-    for rule in RULES.values():
-        findings.extend(rule.check(ctx))
-    findings = _filter_codes(findings, select, ignore)
-    kept, silenced = apply_suppressions(findings, ctx.suppressions)
-    kept.sort()
-    return kept, silenced
-
-
-def _filter_codes(
-    findings: list[Finding],
-    select: frozenset[str] | None,
-    ignore: frozenset[str] | None,
-) -> list[Finding]:
-    if select is not None:
-        findings = [f for f in findings if _code_matches(f.code, select)]
-    if ignore is not None:
-        findings = [f for f in findings if not _code_matches(f.code, ignore)]
-    return findings
-
-
 def _relpath(path: str) -> str:
     return os.path.relpath(path).replace(os.sep, "/")
 
 
-def _lint_chunk(
-    payload: tuple[tuple[str, ...], frozenset[str] | None, frozenset[str] | None],
-) -> tuple[list[Finding], int]:
-    """Worker: lint one round-robin chunk of files.
-
-    Each file in the chunk is read/parsed/suppression-scanned exactly
-    once here; the per-file findings are merged into one sorted list so
-    the driver only concatenates and re-sorts.
-    """
-    files, select, ignore = payload
-    findings: list[Finding] = []
-    suppressed = 0
-    for abspath in files:
-        relpath = _relpath(abspath)
-        try:
-            ctx = FileContext.build(abspath, relpath)
-        except SyntaxError as exc:
-            errs = _filter_codes([_parse_error_finding(relpath, exc)], select, ignore)
-            findings.extend(errs)
-            _count_metrics(errs, 0)
-            continue
-        kept, silenced = _lint_context(ctx, select, ignore)
-        findings.extend(kept)
-        suppressed += silenced
-        _count_metrics(kept, silenced)
-    return findings, suppressed
-
-
-def _count_metrics(kept: list[Finding], silenced: int) -> None:
-    reg = _metrics.get_registry()
-    if reg is None:
-        return
-    reg.counter("lint.files").inc()
-    if kept:
-        reg.counter("lint.findings").inc(len(kept))
-        for f in kept:
-            reg.counter(f"lint.findings.{f.code}").inc()
-    if silenced:
-        reg.counter("lint.suppressions").inc(silenced)
-
-
-def _build_contexts(
-    files: list[str],
-) -> tuple[list[FileContext], list[tuple[str, SyntaxError]]]:
-    """Parse every file once; unparseable files come back separately."""
-    contexts: list[FileContext] = []
-    errors: list[tuple[str, SyntaxError]] = []
-    for abspath in files:
-        relpath = _relpath(abspath)
-        try:
-            contexts.append(FileContext.build(abspath, relpath))
-        except SyntaxError as exc:
-            errors.append((relpath, exc))
-    return contexts, errors
-
-
-def _flow_pass(
-    contexts: list[FileContext],
-    select: frozenset[str] | None,
-    ignore: frozenset[str] | None,
-    graph_out: str | None,
-) -> tuple[list[Finding], int]:
-    """Run the interprocedural rules once, in the driver process.
+def _flow_pass(contexts: list[FileContext], graph_out: str | None) -> list[Finding]:
+    """The interprocedural findings, writing the call graph if asked.
 
     Flow findings obey the sink-line suppression policy: a
     ``# dra: noqa[DRA5xx]`` on the reported (sink) line silences the
@@ -233,22 +127,21 @@ def _flow_pass(
     if graph_out is not None:
         payload = json.dumps(graph.to_payload(), indent=2, sort_keys=False)
         Path(graph_out).write_text(payload + "\n", encoding="utf-8")
-    findings = _filter_codes(findings, select, ignore)
-    tables = {ctx.path: ctx.suppressions for ctx in contexts}
-    kept: list[Finding] = []
-    suppressed = 0
-    for f in findings:
-        fkept, silenced = apply_suppressions([f], tables.get(f.path, {}))
-        kept.extend(fkept)
-        suppressed += silenced
+    return findings
+
+
+def _count_metrics(files: int, kept: list[Finding], silenced: int) -> None:
     reg = _metrics.get_registry()
-    if reg is not None and kept:
+    if reg is None:
+        return
+    if files:
+        reg.counter("lint.files").inc(files)
+    if kept:
         reg.counter("lint.findings").inc(len(kept))
         for f in kept:
             reg.counter(f"lint.findings.{f.code}").inc()
-    if reg is not None and suppressed:
-        reg.counter("lint.suppressions").inc(suppressed)
-    return kept, suppressed
+    if silenced:
+        reg.counter("lint.suppressions").inc(silenced)
 
 
 def lint_paths(
@@ -256,65 +149,50 @@ def lint_paths(
     *,
     select: frozenset[str] | None = None,
     ignore: frozenset[str] | None = None,
-    jobs: int = 1,
     graph_out: str | None = None,
 ) -> LintReport:
     """Lint every Python file under ``paths``.
 
     ``select``/``ignore`` take rule-code prefixes (``DRA1`` covers all
-    of ``DRA1xx``); ``jobs`` fans file chunks out over a process pool
-    with the usual bit-identical-report guarantee.  The DRA5xx
-    whole-project pass runs in the driver when any DRA5xx code survives
-    ``select``/``ignore``, or when ``graph_out`` asks for the call graph
-    as schema-versioned JSON.
+    of ``DRA1xx``).  The DRA5xx whole-project pass runs when any DRA5xx
+    code survives ``select``/``ignore``, or when ``graph_out`` asks for
+    the call graph as schema-versioned JSON.
     """
     watch = Stopwatch()
     with watch:
         files = iter_python_files(paths)
-        findings: list[Finding] = []
-        suppressed = 0
-        contexts: list[FileContext] | None = None
-        if jobs <= 1:
-            # serial: one parse per file, shared by the per-file rules
-            # AND the flow pass below
-            contexts, parse_errors = _build_contexts(files)
-            for relpath, exc in parse_errors:
-                errs = _filter_codes(
-                    [_parse_error_finding(relpath, exc)], select, ignore
-                )
-                findings.extend(errs)
-                _count_metrics(errs, 0)
-            for ctx in contexts:
-                kept, silenced = _lint_context(ctx, select, ignore)
-                findings.extend(kept)
-                suppressed += silenced
-                _count_metrics(kept, silenced)
-        else:
-            payloads = [
-                (tuple(chunk), select, ignore)
-                for chunk in round_robin_chunks(files, jobs)
-            ]
-            for kept, silenced in metered_parallel_map(
-                _lint_chunk, payloads, jobs=jobs
-            ):
-                findings.extend(kept)
-                suppressed += silenced
         selected = _selected_codes(select, ignore)
+        rules = [r for r in RULES.values() if r.code in selected]
+        contexts: list[FileContext] = []
+        findings: list[Finding] = []
+        for abspath in files:
+            relpath = _relpath(abspath)
+            try:
+                ctx = FileContext.build(abspath, relpath)
+            except SyntaxError as exc:
+                findings.append(_parse_error_finding(relpath, exc))
+                continue
+            contexts.append(ctx)
+            findings.extend(ctx.suppression_findings)
+            for r in rules:
+                findings.extend(r.check(ctx))
         if graph_out is not None or any(c in FLOW_RULES for c in selected):
-            if contexts is None:
-                contexts, _ = _build_contexts(files)
-            flow_kept, flow_suppressed = _flow_pass(
-                contexts, select, ignore, graph_out
-            )
-            findings.extend(flow_kept)
-            suppressed += flow_suppressed
-        findings.sort()
+            findings.extend(_flow_pass(contexts, graph_out))
+        if select is not None:
+            findings = [f for f in findings if _code_matches(f.code, select)]
+        if ignore is not None:
+            findings = [f for f in findings if not _code_matches(f.code, ignore)]
+        kept, suppressed = apply_suppressions(
+            findings, {ctx.path: ctx.suppressions for ctx in contexts}
+        )
+        kept.sort()
+        _count_metrics(len(files), kept, suppressed)
     reg = _metrics.get_registry()
     if reg is not None:
         reg.gauge("lint.wall_ms").set(watch.elapsed * 1000.0)
     return LintReport(
         files=len(files),
-        findings=tuple(findings),
+        findings=tuple(kept),
         suppressed=suppressed,
         selected=selected,
         wall_ms=watch.elapsed * 1000.0,

@@ -14,7 +14,7 @@ class Finding:
 
     The field order (path, line, col, code) is the sort order of every
     report the engine produces, so output is deterministic whatever the
-    ``--jobs`` value or filesystem enumeration order.
+    filesystem enumeration order.
     """
 
     path: str

@@ -12,8 +12,7 @@ the result.
 Everything here is deterministic -- modules are indexed in sorted-path
 order, reachability is attributed by sorted BFS, and findings are
 sorted by the engine -- so the report and the ``--graph-out`` JSON are
-byte-identical for any ``--jobs`` value (the flow pass itself always
-runs once, in the driver process).
+byte-identical from run to run.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ Resolution is deliberately conservative: an unresolvable target simply
 produces no edge, so every reported reachability fact is backed by an
 explicit chain of source-level references.  The graph is deterministic
 -- functions are visited in sorted-module order and every export is
-sorted -- so the ``--graph-out`` JSON is byte-identical for any
-``--jobs`` value.
+sorted -- so the ``--graph-out`` JSON is byte-identical from run to
+run.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from repro.lint.flow.modules import (
     FunctionInfo,
     ModuleInfo,
     ProjectIndex,
-    _dotted,
 )
+from repro.lint.rules import _dotted
 
 __all__ = ["CallGraph", "CallSite", "PoolSite", "GRAPH_SCHEMA_VERSION", "build_callgraph"]
 
@@ -47,8 +47,6 @@ _POOL_FUNCS = frozenset({"parallel_map", "metered_parallel_map"})
 #: Engine scheduling methods whose second positional argument is the
 #: callable that will fire inside the event loop.
 _SCHED_FUNCS = frozenset({"schedule", "schedule_in", "schedule_run"})
-
-_FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 @dataclass(frozen=True)
@@ -276,18 +274,9 @@ def build_callgraph(index: ProjectIndex) -> CallGraph:
     """Build every edge of the project call graph."""
     graph = CallGraph(index=index)
     for mod in index.modules.values():
-        for fi in _module_functions(index, mod):
+        for fi in mod.all_functions():
             _visit_function(graph, index, mod, fi)
     return graph
-
-
-def _module_functions(index: ProjectIndex, mod: ModuleInfo) -> list[FunctionInfo]:
-    out = list(mod.functions.values())
-    for ci in mod.classes.values():
-        out.extend(ci.methods.values())
-    # nested defs belong to their enclosing function's body walk; they
-    # are not graph nodes of their own.
-    return out
 
 
 def _add_edge(

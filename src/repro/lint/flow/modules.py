@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.lint.context import FileContext
+from repro.lint.rules import _dotted
 
 __all__ = [
     "ClassInfo",
@@ -116,6 +118,34 @@ class ModuleInfo:
     mutables: dict[str, tuple[int, str]] = field(default_factory=dict)
     #: every module-level assignment target (for ``global X`` rebinds)
     globals_defined: set[str] = field(default_factory=set)
+
+    def all_functions(self) -> list[FunctionInfo]:
+        """Top-level functions, then each class's methods.
+
+        Nested defs are not listed: they belong to the body of the
+        function that encloses them.
+        """
+        out = list(self.functions.values())
+        for ci in self.classes.values():
+            out.extend(ci.methods.values())
+        return out
+
+    @cached_property
+    def _by_node(self) -> dict[ast.AST, FunctionInfo]:
+        return {fi.node: fi for fi in self.all_functions()}
+
+    def owner(self, node: ast.AST) -> FunctionInfo | None:
+        """The listed function whose body holds ``node``, else None.
+
+        None means module-level code: statements, class bodies, and defs
+        that :meth:`all_functions` does not list (under a module-level
+        ``if``, or methods of a nested class).
+        """
+        parents = self.ctx.parents
+        cur = parents.get(node)
+        while cur is not None and cur not in self._by_node:
+            cur = parents.get(cur)
+        return self._by_node.get(cur)
 
 
 def _mutable_kind(value: ast.expr) -> str | None:
@@ -371,13 +401,3 @@ def _ctor_name(value: ast.expr) -> str | None:
             return ".".join(dotted)
     return None
 
-
-def _dotted(node: ast.expr) -> tuple[str, ...] | None:
-    """The dotted-name path of a Name/Attribute chain, else None."""
-    if isinstance(node, ast.Name):
-        return (node.id,)
-    if isinstance(node, ast.Attribute):
-        base = _dotted(node.value)
-        if base is not None:
-            return base + (node.attr,)
-    return None

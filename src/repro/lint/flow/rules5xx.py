@@ -1,6 +1,6 @@
 """DRA5xx: interprocedural determinism & concurrency rules.
 
-Where DRA1xx/DRA2xx judge one file at a time, these five families run
+Where DRA1xx--DRA4xx judge one file at a time, these five families run
 over the whole-project :class:`~repro.lint.flow.callgraph.CallGraph`
 and the dataflow summaries of :mod:`repro.lint.flow.dataflow`:
 
@@ -11,13 +11,14 @@ and the dataflow summaries of :mod:`repro.lint.flow.dataflow`:
 * **DRA502** worker race surface -- module-level mutable state written
   by any function reachable from a pool worker entry diverges per
   process, so results depend on the ``--jobs`` fan-out;
-* **DRA503** unordered-iteration escape -- dict/set iteration order
-  flowing through returns/locals/arguments into parallel dispatch or
-  seed spawns (the interprocedural generalization of DRA103, which
-  stays as the fast local check);
-* **DRA504** trace/metric literal flow -- emit kinds and metric names
-  laundered through variables, module constants or thin wrappers must
-  still constant-propagate to a :mod:`repro.obs.schema` registration;
+* **DRA503** unordered iteration -- dict/set iteration order reaching
+  parallel dispatch or seed spawns, written at the sink or flowing in
+  through locals, parameters and project-function returns, in any
+  scanned module (module-level code included);
+* **DRA504** trace/metric names -- emit kinds and metric names must
+  constant-fold (through literals, locals, module constants and thin
+  wrappers, judged at their callers) to a :mod:`repro.obs.schema`
+  registration, or be f-strings opening with a registered family;
 * **DRA505** hot-path purity -- wall-clock, filesystem and network
   calls reachable from frames the simulation engine schedules
   (``Engine.run`` fires them; nondeterminism there corrupts results
@@ -38,13 +39,8 @@ from typing import Callable, Iterable, Iterator
 from repro.lint.findings import Finding
 from repro.lint.flow import dataflow as _df
 from repro.lint.flow.callgraph import CallGraph
-from repro.lint.flow.modules import (
-    FunctionInfo,
-    ModuleInfo,
-    ProjectIndex,
-    _dotted,
-)
-from repro.lint.rules import _EPOCH_READS, _MONOTONIC_READS
+from repro.lint.flow.modules import FunctionInfo, ModuleInfo, ProjectIndex
+from repro.lint.rules import _EPOCH_READS, _MONOTONIC_READS, _dotted
 from repro.obs import schema as _schema
 
 __all__ = ["FLOW_RULES", "FlowRule", "ProjectAnalysis", "flow_rule"]
@@ -74,12 +70,6 @@ class ProjectAnalysis:
             if ctx.subpackage is None:
                 continue
             yield mod
-
-    def functions_of(self, mod: ModuleInfo) -> list[FunctionInfo]:
-        out = list(mod.functions.values())
-        for ci in mod.classes.values():
-            out.extend(ci.methods.values())
-        return out
 
 
 @dataclass(frozen=True)
@@ -132,8 +122,8 @@ def _enclosing_function(
     return None
 
 
-def _qname_of_node(p: ProjectAnalysis, mod: ModuleInfo, func_node) -> str | None:
-    for fi in p.functions_of(mod):
+def _qname_of_node(mod: ModuleInfo, func_node) -> str | None:
+    for fi in mod.all_functions():
         if fi.node is func_node:
             return fi.qname
     return None
@@ -220,7 +210,7 @@ def check_rng_provenance(p: ProjectAnalysis) -> Iterator[Finding]:
             )
             if seed is _df.MISSING or not isinstance(seed, int):
                 continue
-            qname = _qname_of_node(p, mod, func)
+            qname = _qname_of_node(mod, func)
             entry = p.worker_reach.get(qname) if qname else None
             if entry is not None:
                 yield _finding(
@@ -395,31 +385,21 @@ def check_worker_race(p: ProjectAnalysis) -> Iterator[Finding]:
 # DRA503 -- unordered-iteration escape
 # ---------------------------------------------------------------------------
 
+#: Call targets that fan work out or derive RNG streams: anything
+#: feeding them must iterate in a deterministic (sorted) order.
 _DISPATCH_FUNCS = frozenset({"parallel_map", "metered_parallel_map", "spawn"})
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
 
-def _dispatch_name(node: ast.Call) -> str | None:
+
+def _dispatch_name(node: ast.AST) -> str | None:
+    if not isinstance(node, ast.Call):
+        return None
     fn = node.func
     name = fn.id if isinstance(fn, ast.Name) else (
         fn.attr if isinstance(fn, ast.Attribute) else None
     )
     return name if name in _DISPATCH_FUNCS else None
-
-
-def _escape_taint(
-    p: ProjectAnalysis, mod: ModuleInfo, env: dict[str, str], expr: ast.expr
-) -> str | None:
-    """Interprocedural taint of ``expr``, skipping DRA103's local hits.
-
-    DRA103 already flags a ``.items()``/set literal written directly at
-    the sink, so this only reports taint that arrived through a local
-    variable, a parameter, or a project-function return value.
-    """
-    if _df.unordered_expr(expr, index=p.index, mod=mod) is not None:
-        return None
-    return _df.unordered_expr(
-        expr, index=p.index, mod=mod, local_env=env, summaries=p.unordered
-    )
 
 
 def _tainted_params(p: ProjectAnalysis, fi: FunctionInfo) -> dict[str, str]:
@@ -453,81 +433,98 @@ def _tainted_params(p: ProjectAnalysis, fi: FunctionInfo) -> dict[str, str]:
     return out
 
 
+def _taint_env(
+    p: ProjectAnalysis, mod: ModuleInfo, fi: FunctionInfo | None
+) -> dict[str, str]:
+    """Tainted locals and parameters of ``fi`` (none at module level)."""
+    if fi is None:
+        return {}
+    env = _df.local_unordered_env(
+        fi, index=p.index, mod=mod, summaries=p.unordered
+    )
+    env.update(_tainted_params(p, fi))
+    return env
+
+
 @flow_rule(
     "DRA503",
     "flow.unordered-escape",
-    "dict/set order never flows across functions into dispatch or spawns",
+    "dict/set order never flows into parallel dispatch or seed spawns",
 )
 def check_unordered_escape(p: ProjectAnalysis) -> Iterator[Finding]:
-    for mod in p.library_modules():
-        for fi in p.functions_of(mod):
-            dispatches = [
-                node
-                for node in ast.walk(fi.node)
-                if isinstance(node, ast.Call) and _dispatch_name(node)
-            ]
-            if not dispatches:
+    for mod in p.index.modules.values():
+        dispatches = [node for node in mod.ctx.nodes if _dispatch_name(node)]
+        if not dispatches:
+            continue
+        # qname of a dispatching function (None: module-level code)
+        # -> its taint environment
+        envs: dict[str | None, dict[str, str]] = {}
+        for node in dispatches:
+            fi = mod.owner(node)
+            scope = fi.qname if fi else None
+            if scope not in envs:
+                envs[scope] = _taint_env(p, mod, fi)
+        seen: set[tuple[int, int]] = set()
+        for node in mod.ctx.nodes:
+            name = _dispatch_name(node)
+            if name is not None:
+                exprs, anchor = node.args, node
+            elif isinstance(node, ast.For):
+                exprs, anchor = [node.iter], None
+            elif isinstance(node, _COMPREHENSIONS):
+                exprs, anchor = [gen.iter for gen in node.generators], None
+            else:
                 continue
-            env = _df.local_unordered_env(
-                fi, index=p.index, mod=mod, summaries=p.unordered
-            )
-            env.update(_tainted_params(p, fi))
-
-            seen: set[tuple[int, int]] = set()
-            for node in dispatches:
-                for arg in node.args:
-                    why = _escape_taint(p, mod, env, arg)
-                    if why is None:
-                        continue
-                    key = (node.lineno, node.col_offset)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield _finding(
-                        mod, node, "DRA503",
-                        f"unordered value ({why}) feeds "
-                        f"{_dispatch_name(node)}(): hash order varies per "
-                        "process, so dispatch/spawn order breaks the "
-                        "any---jobs bit-identity; sort at the source or "
-                        "wrap this argument in sorted()",
+            fi = mod.owner(node)
+            env = envs.get(fi.qname if fi else None)
+            if env is None:
+                continue
+            for expr in exprs:
+                why = _df.unordered_expr(
+                    expr, index=p.index, mod=mod, local_env=env,
+                    summaries=p.unordered,
+                )
+                if why is None:
+                    continue
+                at = anchor or expr
+                key = (at.lineno, at.col_offset)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if anchor is not None:
+                    message = (
+                        f"unordered value ({why}) feeds {name}(): hash "
+                        "order varies per process, so dispatch/spawn "
+                        "order breaks the any---jobs bit-identity; sort "
+                        "at the source or wrap this argument in sorted()"
                     )
-            for node in ast.walk(fi.node):
-                iters: list[ast.expr] = []
-                if isinstance(node, ast.For):
-                    iters = [node.iter]
-                elif isinstance(
-                    node,
-                    ast.ListComp | ast.SetComp | ast.GeneratorExp | ast.DictComp,
-                ):
-                    iters = [gen.iter for gen in node.generators]
-                for it in iters:
-                    why = _escape_taint(p, mod, env, it)
-                    if why is None:
-                        continue
-                    key = (it.lineno, it.col_offset)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield _finding(
-                        mod, it, "DRA503",
-                        f"iteration over an unordered value ({why}) in a "
-                        "function that dispatches work: the resulting "
-                        "order reaches parallel_map/spawn, breaking the "
+                else:
+                    message = (
+                        f"iteration over an unordered value ({why}) in "
+                        "code that dispatches work: the resulting order "
+                        "reaches parallel_map/spawn, breaking the "
                         "any---jobs bit-identity; wrap the source in "
-                        "sorted()",
+                        "sorted()"
                     )
+                yield _finding(mod, at, "DRA503", message)
 
 
 # ---------------------------------------------------------------------------
-# DRA504 -- trace/metric literal flow
+# DRA504 -- trace/metric name flow
 # ---------------------------------------------------------------------------
 
 _METRIC_METHODS = frozenset({"counter", "gauge", "histogram"})
 
+#: sink kind -> (what the argument names, the registry it must be in)
+_NAME_SINKS = {
+    "trace": ("trace-event kind", "repro.obs.schema.TRACE_EVENT_KINDS"),
+    "metric": ("metric name", "repro.obs.schema.METRIC_NAMES/METRIC_FAMILIES"),
+}
 
-def _sink_kind(node: ast.Call) -> str | None:
+
+def _sink_kind(node: ast.AST) -> str | None:
     """``trace`` / ``metric`` when ``node`` is an emit/metric call."""
-    if not isinstance(node.func, ast.Attribute) or not node.args:
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
         return None
     if node.func.attr == "emit":
         return "trace"
@@ -536,55 +533,88 @@ def _sink_kind(node: ast.Call) -> str | None:
     return None
 
 
-def _registered(kind: str, value: str) -> bool:
-    if kind == "trace":
-        return _schema.is_trace_kind(value)
-    return _schema.is_metric_name(value)
+def _name_problem(
+    kind: str,
+    arg: ast.expr,
+    index: ProjectIndex,
+    mod: ModuleInfo,
+    env: dict[str, object],
+) -> str | None:
+    """Why ``arg`` is not a registered ``kind`` name, or None when it is."""
+    value = _df.fold_const(arg, index=index, mod=mod, local_env=env)
+    if isinstance(value, str):
+        registered = (
+            _schema.is_trace_kind(value)
+            if kind == "trace"
+            else _schema.is_metric_name(value)
+        )
+        if registered:
+            return None
+        return (
+            f"{value!r} is not registered in {_NAME_SINKS[kind][1]}; add "
+            "it there and to the docs/observability.md catalogue"
+        )
+    if kind == "metric" and isinstance(arg, ast.JoinedStr):
+        # not foldable, so it has a part: the first must be a literal
+        head = arg.values[0]
+        if (
+            isinstance(head, ast.Constant)
+            and _schema.metric_family(head.value) is not None
+        ):
+            return None
+        return (
+            "a dynamic name must open with a literal prefix registered in "
+            "repro.obs.schema.METRIC_FAMILIES"
+        )
+    return (
+        "the argument does not constant-fold to a string, so the schema "
+        "registry cannot be checked statically; pass a registered literal"
+    )
 
 
 @flow_rule(
     "DRA504",
     "flow.literal-flow",
-    "emit kinds / metric names constant-propagate to schema registrations",
+    "emit kinds / metric names constant-fold to schema registrations",
 )
 def check_literal_flow(p: ProjectAnalysis) -> Iterator[Finding]:
-    registry = "repro.obs.schema.TRACE_EVENT_KINDS"
-    metric_reg = "repro.obs.schema.METRIC_NAMES/METRIC_FAMILIES"
+    # (wrapper qname, parameter index, sink kind) already judged at its
+    # call sites: a wrapper that passes one parameter to several sinks
+    # still yields one finding per caller
+    judged: set[tuple[str, int, str]] = set()
     for mod in p.library_modules():
         if mod.ctx.subpackage == "obs":
             continue  # the registry/merge machinery itself
-        for fi in p.functions_of(mod):
-            params = fi.params
-            env = _df.local_const_env(fi.node)
-            for node in ast.walk(fi.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                kind = _sink_kind(node)
-                if kind is None:
-                    continue
-                arg = node.args[0]
-                if isinstance(arg, ast.Constant):
-                    continue  # DRA201/DRA202 territory
-                # a wrapper parameter: judge every call site instead
-                if isinstance(arg, ast.Name) and arg.id in params:
-                    yield from _check_wrapper_sites(
-                        p, fi, params.index(arg.id), kind,
-                        registry if kind == "trace" else metric_reg,
-                    )
-                    continue
-                value = _df.fold_const(
-                    arg, index=p.index, mod=mod, local_env=env
-                )
-                if value is _df.MISSING or not isinstance(value, str):
-                    continue  # not resolvable: DRA201/DRA202's finding
-                if not _registered(kind, value):
+        envs: dict[str | None, dict[str, object]] = {}
+        for node in mod.ctx.nodes:
+            kind = _sink_kind(node)
+            if kind is None:
+                continue
+            if not node.args:
+                if kind == "trace":
                     yield _finding(
                         mod, node, "DRA504",
-                        f"{kind} name constant-propagates to {value!r}, "
-                        "which is not registered in "
-                        f"{registry if kind == 'trace' else metric_reg}; "
-                        "register it (and document it) or fix the constant",
+                        "emit() without a positional kind; pass the "
+                        "registered event kind as the first argument",
                     )
+                continue
+            arg = node.args[0]
+            fi = mod.owner(node)
+            # a wrapper parameter: judge every call site instead
+            if fi is not None and isinstance(arg, ast.Name) and arg.id in fi.params:
+                wrapped = (fi.qname, fi.params.index(arg.id), kind)
+                if wrapped not in judged:
+                    judged.add(wrapped)
+                    yield from _check_wrapper_sites(p, fi, wrapped[1], kind)
+                continue
+            scope = fi.qname if fi else None
+            if scope not in envs:
+                envs[scope] = _df.local_const_env(fi.node) if fi else {}
+            problem = _name_problem(kind, arg, p.index, mod, envs[scope])
+            if problem is not None:
+                yield _finding(
+                    mod, node, "DRA504", f"{_NAME_SINKS[kind][0]}: {problem}"
+                )
 
 
 def _check_wrapper_sites(
@@ -592,7 +622,6 @@ def _check_wrapper_sites(
     wrapper: FunctionInfo,
     param_idx: int,
     kind: str,
-    registry: str,
 ) -> Iterator[Finding]:
     for site in p.graph.sites_calling(wrapper.qname):
         if site.kind != "call":
@@ -617,21 +646,12 @@ def _check_wrapper_sites(
         if arg is None:
             continue
         cenv = _df.local_const_env(caller.node)
-        value = _df.fold_const(arg, index=p.index, mod=cmod, local_env=cenv)
-        if value is _df.MISSING or not isinstance(value, str):
+        problem = _name_problem(kind, arg, p.index, cmod, cenv)
+        if problem is not None:
             yield _finding(
                 cmod, site.node, "DRA504",
-                f"{kind} name passed to wrapper {wrapper.qname}() does "
-                "not constant-propagate to a string; the schema registry "
-                "cannot be checked statically -- pass a registered "
-                "literal",
-            )
-        elif not _registered(kind, value):
-            yield _finding(
-                cmod, site.node, "DRA504",
-                f"{kind} name {value!r} flows through wrapper "
-                f"{wrapper.qname}() but is not registered in {registry}; "
-                "add it there and to the docs/observability.md catalogue",
+                f"{_NAME_SINKS[kind][0]} passed to wrapper "
+                f"{wrapper.qname}(): {problem}",
             )
 
 

@@ -1,21 +1,23 @@
-"""The rule catalogue: one registered check per invariant.
+"""The per-file rule catalogue: one registered check per invariant.
 
 Codes are grouped by contract family (``docs/static-analysis.md``):
 
 * ``DRA0xx`` -- linter mechanics (suppression syntax, parse errors);
-* ``DRA1xx`` -- determinism (RNG discipline, wall-clock bans, sorted
-  iteration ahead of parallel dispatch, exception hygiene);
-* ``DRA2xx`` -- observability (trace-event kinds and metric names must
-  be literals registered in :mod:`repro.obs.schema`);
+* ``DRA1xx`` -- determinism (RNG discipline, wall-clock bans, exception
+  hygiene);
 * ``DRA3xx`` -- testing hygiene (tolerances come from
   :mod:`repro.validate`, not magic epsilons);
 * ``DRA4xx`` -- CLI surface (every public flag and subcommand carries a
   help string, so ``--help`` and ``docs/cli.md`` can stay complete).
 
-Every rule is a pure function of a :class:`~repro.lint.context.FileContext`
-yielding :class:`~repro.lint.findings.Finding` records; the engine runs
-them file-by-file, so rules never see cross-file state and the report
-is deterministic under any ``--jobs`` fan-out.
+Sorted dispatch and trace/metric names are whole-project contracts
+(``DRA503``/``DRA504`` in :mod:`repro.lint.flow.rules5xx`): a value can
+reach its sink through other functions and modules.
+
+Every rule here is a pure function of a
+:class:`~repro.lint.context.FileContext` yielding
+:class:`~repro.lint.findings.Finding` records, so rules never see
+cross-file state.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Callable, Iterable, Iterator
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
-from repro.obs import schema as _schema
 
 __all__ = ["Rule", "RULES", "rule", "all_codes"]
 
@@ -88,28 +89,6 @@ def _finding(ctx: FileContext, node: ast.AST, code: str, message: str) -> Findin
         code=code,
         message=message,
     )
-
-
-def _parents(tree: ast.Module) -> dict[ast.AST, ast.AST]:
-    """Child -> parent map for one pass of scope-sensitive rules."""
-    table: dict[ast.AST, ast.AST] = {}
-    for parent in ast.walk(tree):
-        for child in ast.iter_child_nodes(parent):
-            table[child] = parent
-    return table
-
-
-_FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def _enclosing_function(node: ast.AST, parents: dict[ast.AST, ast.AST]):
-    """Nearest enclosing function def, or None at module scope."""
-    cur = parents.get(node)
-    while cur is not None:
-        if isinstance(cur, _FUNC_NODES):
-            return cur
-        cur = parents.get(cur)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -241,103 +220,6 @@ def check_wallclock(ctx: FileContext) -> Iterator[Finding]:
                     )
 
 
-#: Call targets that fan work out or derive RNG streams: anything
-#: feeding them must iterate in a deterministic (sorted) order.
-_DISPATCH_FUNCS = frozenset({"parallel_map", "metered_parallel_map", "spawn"})
-
-#: Wrappers that preserve iteration order without establishing one.
-_ORDER_NEUTRAL = frozenset({"list", "tuple", "enumerate", "reversed"})
-
-
-def _is_dispatch_call(node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id in _DISPATCH_FUNCS
-    if isinstance(func, ast.Attribute):
-        return func.attr in _DISPATCH_FUNCS
-    return False
-
-
-def _strip_order_neutral(node: ast.expr) -> ast.expr:
-    while (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in _ORDER_NEUTRAL
-        and node.args
-    ):
-        node = node.args[0]
-    return node
-
-
-def _unordered_iter(node: ast.expr) -> str | None:
-    """Why ``node`` iterates in hash order, or None when it does not."""
-    node = _strip_order_neutral(node)
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("items", "keys", "values")
-        and not node.args
-        and not node.keywords
-    ):
-        return f".{node.func.attr}()"
-    if isinstance(node, ast.Set):
-        return "set literal"
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("set", "frozenset")
-    ):
-        return f"{node.func.id}()"
-    return None
-
-
-@rule(
-    "DRA103",
-    "determinism.sorted-dispatch",
-    "dict/set iteration feeding parallel dispatch or seed spawns is sorted",
-)
-def check_sorted_dispatch(ctx: FileContext) -> Iterator[Finding]:
-    parents = ctx.parents
-    dispatching_scopes = {
-        _enclosing_function(node, parents)
-        for node in ctx.nodes
-        if _is_dispatch_call(node)
-    }
-    if not dispatching_scopes:
-        return
-    seen: set[tuple[int, int]] = set()
-
-    def flag(node: ast.expr) -> Iterator[Finding]:
-        why = _unordered_iter(node)
-        if why is None:
-            return
-        key = (node.lineno, node.col_offset)
-        if key in seen:
-            return
-        seen.add(key)
-        yield _finding(
-            ctx, node, "DRA103",
-            f"iteration over {why} in a function that dispatches work "
-            "(parallel_map/spawn) must go through sorted() so results "
-            "are identical for any --jobs",
-        )
-
-    for node in ctx.nodes:
-        scope = _enclosing_function(node, parents)
-        if scope not in dispatching_scopes:
-            continue
-        if isinstance(node, ast.For):
-            yield from flag(node.iter)
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
-            for gen in node.generators:
-                yield from flag(gen.iter)
-        elif _is_dispatch_call(node):
-            for arg in node.args:
-                yield from flag(arg)
-
-
 @rule(
     "DRA104",
     "exceptions.bare",
@@ -379,107 +261,6 @@ def check_swallowed(ctx: FileContext) -> Iterator[Finding]:
                 "exception handler discards the error without handling, "
                 "logging or re-raising it; a swallowed fault corrupts "
                 "dependability numbers silently",
-            )
-
-
-# ---------------------------------------------------------------------------
-# DRA2xx -- observability
-# ---------------------------------------------------------------------------
-
-
-def _obs_scope(ctx: FileContext) -> bool:
-    """True for library code whose emit/metric names the schema governs."""
-    return (
-        ctx.subpackage is not None
-        and ctx.subpackage != "obs"  # the registry/merge machinery itself
-        and not ctx.is_test_code
-    )
-
-
-@rule(
-    "DRA201",
-    "obs.trace-kind",
-    "Tracer.emit kinds are literals registered in repro.obs.schema",
-)
-def check_trace_kinds(ctx: FileContext) -> Iterator[Finding]:
-    if not _obs_scope(ctx):
-        return
-    for node in ctx.nodes:
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "emit"
-        ):
-            continue
-        if not node.args:
-            yield _finding(
-                ctx, node, "DRA201",
-                "emit() without a positional kind; pass the registered "
-                "event kind as the first argument",
-            )
-            continue
-        kind = node.args[0]
-        if not (isinstance(kind, ast.Constant) and isinstance(kind.value, str)):
-            yield _finding(
-                ctx, node, "DRA201",
-                "trace-event kind must be a string literal so the schema "
-                "registry and docs can be checked statically",
-            )
-        elif not _schema.is_trace_kind(kind.value):
-            yield _finding(
-                ctx, node, "DRA201",
-                f"trace-event kind {kind.value!r} is not registered in "
-                "repro.obs.schema.TRACE_EVENT_KINDS; add it there and to "
-                "the docs/observability.md catalogue",
-            )
-
-
-_METRIC_METHODS = frozenset({"counter", "gauge", "histogram"})
-
-
-@rule(
-    "DRA202",
-    "obs.metric-name",
-    "metric names are literals (or registered-family f-strings) from repro.obs.schema",
-)
-def check_metric_names(ctx: FileContext) -> Iterator[Finding]:
-    if not _obs_scope(ctx):
-        return
-    for node in ctx.nodes:
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _METRIC_METHODS
-            and node.args
-        ):
-            continue
-        name = node.args[0]
-        if isinstance(name, ast.Constant) and isinstance(name.value, str):
-            if not _schema.is_metric_name(name.value):
-                yield _finding(
-                    ctx, node, "DRA202",
-                    f"metric name {name.value!r} is not registered in "
-                    "repro.obs.schema.METRIC_NAMES; add it there and to "
-                    "the docs/observability.md catalogue",
-                )
-        elif isinstance(name, ast.JoinedStr):
-            head = name.values[0] if name.values else None
-            prefix = (
-                head.value
-                if isinstance(head, ast.Constant) and isinstance(head.value, str)
-                else ""
-            )
-            if not prefix or _schema.metric_family(prefix) is None:
-                yield _finding(
-                    ctx, node, "DRA202",
-                    "dynamic metric name must start with a literal prefix "
-                    "registered in repro.obs.schema.METRIC_FAMILIES",
-                )
-        else:
-            yield _finding(
-                ctx, node, "DRA202",
-                "metric name must be a string literal (or a registered-"
-                "family f-string) so dashboards and docs stay in sync",
             )
 
 

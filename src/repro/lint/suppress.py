@@ -5,10 +5,11 @@ rule codes being waived, and only with a written reason::
 
     assert abs(total - 2.0) < 0.05  # dra: noqa[DRA301] reason=modeling bound, not a float tolerance
 
-A suppression comment that names no code, or carries no
-``reason=<text>``, is itself a finding (``DRA001``) -- the policy is
-that every waiver is auditable, so the syntax cannot be satisfied by an
-empty gesture.  ``DRA001`` findings are never suppressible.
+A suppression comment that names no code, names a code no rule owns,
+or carries no ``reason=<text>``, is itself a finding (``DRA001``) and
+silences nothing -- the policy is that every waiver is auditable, so
+the syntax cannot be satisfied by an empty gesture, and a waiver cannot
+outlive the rule it names.  ``DRA001`` findings are never suppressible.
 """
 
 from __future__ import annotations
@@ -68,9 +69,14 @@ def scan_suppressions(
     """Parse every dra-noqa comment in ``source``.
 
     Returns the per-line suppression table plus one ``DRA001`` finding
-    for each malformed attempt (wrong bracket syntax, missing codes, or
-    a missing/empty ``reason=``).
+    for each malformed attempt (wrong bracket syntax, missing codes, a
+    missing/empty ``reason=``, or a code outside the rule catalogue).
     """
+    # deferred: the engine and the rule registry import this module
+    from repro.lint.engine import PARSE_ERROR_CODE
+    from repro.lint.rules import all_codes
+
+    known = {SUPPRESSION_CODE, PARSE_ERROR_CODE, *all_codes()}
     table: dict[int, Suppression] = {}
     findings: list[Finding] = []
     for lineno, col, text in _comment_tokens(source):
@@ -79,21 +85,31 @@ def scan_suppressions(
             continue
         match = _WELL_FORMED.search(text)
         if match is None:
+            problem = (
+                "malformed suppression: expected "
+                "'# dra: noqa[DRA###,...] reason=<why>' "
+                "(a written reason is mandatory)"
+            )
+        else:
+            codes = frozenset(c.strip() for c in match.group("codes").split(","))
+            unknown = sorted(codes - known)
+            problem = (
+                f"suppression names unknown rule code(s) {', '.join(unknown)}; "
+                "waive a code from the rule catalogue (docs/static-analysis.md)"
+                if unknown
+                else None
+            )
+        if problem is not None:
             findings.append(
                 Finding(
                     path=path,
                     line=lineno,
                     col=col + attempt.start() + 1,
                     code=SUPPRESSION_CODE,
-                    message=(
-                        "malformed suppression: expected "
-                        "'# dra: noqa[DRA###,...] reason=<why>' "
-                        "(a written reason is mandatory)"
-                    ),
+                    message=problem,
                 )
             )
             continue
-        codes = frozenset(c.strip() for c in match.group("codes").split(","))
         table[lineno] = Suppression(
             line=lineno, codes=codes, reason=match.group("reason").strip()
         )
@@ -101,17 +117,18 @@ def scan_suppressions(
 
 
 def apply_suppressions(
-    findings: list[Finding], table: dict[int, Suppression]
+    findings: list[Finding], tables: dict[str, dict[int, Suppression]]
 ) -> tuple[list[Finding], int]:
-    """Drop findings waived by a same-line suppression.
+    """Drop findings waived by a same-line suppression in their file.
 
+    ``tables`` maps a finding path to that file's per-line waivers.
     Returns the surviving findings and the number silenced.  ``DRA001``
     findings always survive.
     """
     kept: list[Finding] = []
     silenced = 0
     for f in findings:
-        sup = table.get(f.line)
+        sup = tables.get(f.path, {}).get(f.line)
         if (
             sup is not None
             and f.code != SUPPRESSION_CODE

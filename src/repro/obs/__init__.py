@@ -15,7 +15,7 @@ Three cooperating layers, all **zero-overhead when disabled**:
   configuration used by the examples instead of ad-hoc ``print``;
 * :mod:`~repro.obs.schema` -- the central registry of every trace-event
   kind and metric name, consumed by the ``trace --strict`` CLI guard,
-  the ``repro.lint`` DRA2xx rules and the docs catalogue.
+  the ``repro.lint`` DRA504 rule and the docs catalogue.
 
 On top of those sit the causal-analysis layers: :mod:`~repro.obs.spans`
 folds a trace into per-fault :class:`IncidentSpan` timelines (the

@@ -7,10 +7,10 @@ Three consumers treat this module as the source of truth:
 * the ``trace`` CLI subcommand's schema guard, which (under
   ``--strict``) rejects a JSONL file containing event kinds this
   registry does not know;
-* the static analyser (:mod:`repro.lint`), whose DRA201/DRA202 rules
-  require emit/metric call sites to use string literals registered
-  here -- so an instrumented site cannot silently drift away from the
-  catalogue in ``docs/observability.md``;
+* the static analyser (:mod:`repro.lint`), whose DRA504 rule requires
+  emit/metric call sites to use names that constant-fold to a
+  registration here -- so an instrumented site cannot silently drift
+  away from the catalogue in ``docs/observability.md``;
 * the observability docs and tests, which cross-check the tables
   against these mappings instead of duplicating the string lists.
 

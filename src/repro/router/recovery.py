@@ -353,7 +353,7 @@ class CoveragePlanner:
         """
         src = self._lcs[packet.src_lc]
         # sorted(): candidate ranking must not depend on dict insertion
-        # order (DRA103 spirit -- LCs are usually built 0..N-1, but any
+        # order (DRA503 spirit -- LCs are usually built 0..N-1, but any
         # construction order must yield the same ranking).
         return [
             lc_id

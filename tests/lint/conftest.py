@@ -36,3 +36,13 @@ def lint_codes(run_lint):
         return [f.code for f in run_lint(rel, source, **kwargs).findings]
 
     return run
+
+
+@pytest.fixture
+def lint_hits(run_lint):
+    """Like ``run_lint`` but returns ``(code, line)`` per finding, in order."""
+
+    def run(rel: str, source: str, **kwargs) -> list[tuple[str, int]]:
+        return [(f.code, f.line) for f in run_lint(rel, source, **kwargs).findings]
+
+    return run

@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 import textwrap
 
+import pytest
+
 from repro.cli import main
-from repro.lint import lint_paths, round_robin_chunks
+from repro.lint import lint_paths
 from repro.obs.metrics import MetricsRegistry, collecting
 
 MIXED = """
@@ -48,46 +50,18 @@ class TestSelection:
 
 
 class TestDeterminism:
-    def test_pool_report_is_bit_identical_to_serial(self, tmp_path):
-        _write_tree(tmp_path, VIOLATIONS)
-        serial = lint_paths([str(tmp_path)], jobs=1)
-        pooled = lint_paths([str(tmp_path)], jobs=2)
-        assert serial == pooled
-
     def test_findings_sorted_by_path_line_col(self, tmp_path):
         _write_tree(tmp_path, VIOLATIONS)
         report = lint_paths([str(tmp_path)])
         keys = [(f.path, f.line, f.col, f.code) for f in report.findings]
         assert keys == sorted(keys)
 
-    def test_more_jobs_than_files_is_identical(self, tmp_path):
-        # 3 files, 8 workers: round-robin chunking must leave the report
-        # byte-identical to the serial run, never jobs-dependent
+    def test_report_bytes_identical_across_runs(self, tmp_path):
         _write_tree(tmp_path, VIOLATIONS)
-        serial = lint_paths([str(tmp_path)], jobs=1)
-        pooled = lint_paths([str(tmp_path)], jobs=8)
-        assert serial == pooled
-        assert json.dumps(serial.to_payload()) == json.dumps(pooled.to_payload())
-
-
-class TestRoundRobinChunks:
-    def test_assignment_is_sorted_round_robin(self):
-        files = ["a.py", "b.py", "c.py", "d.py", "e.py"]
-        assert round_robin_chunks(files, 2) == [
-            ["a.py", "c.py", "e.py"],
-            ["b.py", "d.py"],
-        ]
-
-    def test_empty_chunks_dropped_when_jobs_exceed_files(self):
-        files = ["a.py", "b.py", "c.py"]
-        chunks = round_robin_chunks(files, 8)
-        assert chunks == [["a.py"], ["b.py"], ["c.py"]]
-
-    def test_every_file_assigned_exactly_once(self):
-        files = [f"{i}.py" for i in range(17)]
-        chunks = round_robin_chunks(files, 4)
-        flat = sorted(f for chunk in chunks for f in chunk)
-        assert flat == sorted(files)
+        first = lint_paths([str(tmp_path)])
+        second = lint_paths([str(tmp_path)])
+        assert first == second
+        assert json.dumps(first.to_payload()) == json.dumps(second.to_payload())
 
 
 class TestMetrics:
@@ -143,6 +117,13 @@ class TestCliGate:
         assert (
             main(["lint", str(tmp_path), "--ignore", "DRA1,DRA3"]) == 0
         )
+
+    def test_jobs_option_is_gone(self, tmp_path, capsys):
+        # lint is one in-process pipeline; --jobs is an argparse error
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", str(tmp_path), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_repo_tree_is_clean(self, capsys):
         # the merged tree must satisfy its own gate (acceptance criterion)

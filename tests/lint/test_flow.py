@@ -119,7 +119,7 @@ BAD_DRA503 = {
 BAD_DRA504 = {
     "src/repro/mc/obs_util.py": """
         def note(tracer, kind, t):
-            tracer.emit(kind, t=t)  # dra: noqa[DRA201] reason=thin wrapper; call sites are checked interprocedurally by DRA504
+            tracer.emit(kind, t=t)
     """,
     "src/repro/mc/run.py": """
         from repro.mc.obs_util import note
@@ -327,9 +327,9 @@ class TestDRA503UnorderedEscape:
         }
         assert flow_codes(files) == []
 
-    def test_direct_local_case_stays_dra103(self, flow_report, tmp_path):
-        # `.items()` written directly at the dispatch site is the local
-        # rule's finding; DRA503 must not double-report it
+    def test_direct_local_case_reported_once(self, flow_report):
+        # `.items()` written directly at the dispatch site is one
+        # finding, from the one sorted-dispatch rule
         files = {
             "src/repro/mc/direct.py": """
                 from repro.runtime.executor import parallel_map
@@ -343,7 +343,7 @@ class TestDRA503UnorderedEscape:
         }
         report = flow_report(files)
         codes = [f.code for f in report.findings]
-        assert codes == ["DRA103"]
+        assert codes == ["DRA503"]
 
 
 class TestDRA504LiteralFlow:
@@ -356,11 +356,24 @@ class TestDRA504LiteralFlow:
         (finding,) = [f for f in report.findings if f.code == "DRA504"]
         assert finding.path.endswith("src/repro/mc/run.py")
 
+    def test_wrapper_with_two_sinks_flags_caller_once(self, flow_report):
+        files = {
+            "src/repro/mc/obs_util.py": """
+                def note(tracer, kind, t):
+                    tracer.emit(kind, t=t)
+                    tracer.emit(kind, t=t + 1.0)
+            """,
+            "src/repro/mc/run.py": BAD_DRA504["src/repro/mc/run.py"],
+        }
+        report = flow_report(files)
+        assert [(f.code, f.line) for f in report.findings] == [("DRA504", 5)]
+        assert report.findings[0].path.endswith("src/repro/mc/run.py")
+
     def test_registered_kind_through_wrapper_is_clean(self, flow_codes):
         files = {
             "src/repro/mc/obs_util.py": """
                 def note(tracer, kind, t):
-                    tracer.emit(kind, t=t)  # dra: noqa[DRA201] reason=thin wrapper; call sites are checked interprocedurally by DRA504
+                    tracer.emit(kind, t=t)
             """,
             "src/repro/mc/run.py": """
                 from repro.mc.obs_util import note
@@ -375,7 +388,7 @@ class TestDRA504LiteralFlow:
         files = {
             "src/repro/mc/obs_util.py": """
                 def note(tracer, kind, t):
-                    tracer.emit(kind, t=t)  # dra: noqa[DRA201] reason=thin wrapper; call sites are checked interprocedurally by DRA504
+                    tracer.emit(kind, t=t)
             """,
             "src/repro/mc/run.py": """
                 from repro.mc.obs_util import note
@@ -394,7 +407,7 @@ class TestDRA504LiteralFlow:
                 from repro.mc.names import FAMILY
 
                 def count(registry):
-                    registry.counter(FAMILY).inc()  # dra: noqa[DRA202] reason=fixture: DRA504 must judge the folded constant itself
+                    registry.counter(FAMILY).inc()
             """,
         }
         assert flow_codes(files) == ["DRA504"]
@@ -406,7 +419,7 @@ class TestDRA504LiteralFlow:
                 from repro.mc.names import NAME
 
                 def count(registry):
-                    registry.counter(NAME).inc()  # dra: noqa[DRA202] reason=fixture: constant folds to a registered name
+                    registry.counter(NAME).inc()
             """,
         }
         assert flow_codes(files) == []
@@ -539,13 +552,13 @@ class TestGraphExport:
         assert ("open_faults", "call") in edges
         assert any(w.endswith("._sim") for w in doc["worker_entries"])
 
-    def test_graph_bytes_identical_across_jobs(self, tmp_path):
+    def test_graph_bytes_identical_across_runs(self, tmp_path):
         _write_tree(tmp_path, BAD_DRA503)
-        out1 = tmp_path / "g1.json"
-        out8 = tmp_path / "g8.json"
-        lint_paths([str(tmp_path)], jobs=1, graph_out=str(out1))
-        lint_paths([str(tmp_path)], jobs=8, graph_out=str(out8))
-        assert out1.read_bytes() == out8.read_bytes()
+        first = tmp_path / "g1.json"
+        second = tmp_path / "g2.json"
+        lint_paths([str(tmp_path)], graph_out=str(first))
+        lint_paths([str(tmp_path)], graph_out=str(second))
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestCliGate:

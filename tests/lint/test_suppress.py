@@ -40,6 +40,23 @@ class TestInlineSuppression:
         assert [f.code for f in report.findings] == ["DRA101"]
         assert report.suppressed == 0
 
+    def test_unknown_code_is_its_own_finding(self, run_lint):
+        report = run_lint(
+            "src/repro/sim/x.py", "x = 1  # dra: noqa[DRA999] reason=no such rule\n"
+        )
+        assert [f.code for f in report.findings] == [SUPPRESSION_CODE]
+        assert "DRA999" in report.findings[0].message
+
+    def test_retired_code_waiver_silences_nothing(self, run_lint):
+        # a waiver cannot outlive the rule it names: one stale code
+        # voids the whole waiver, so the real finding survives too
+        report = run_lint(
+            "src/repro/sim/x.py",
+            "import random  # dra: noqa[DRA101,DRA201] reason=names a retired rule\n",
+        )
+        assert sorted(f.code for f in report.findings) == [SUPPRESSION_CODE, "DRA101"]
+        assert report.suppressed == 0
+
     def test_multi_code_waiver(self, run_lint):
         report = run_lint(
             "src/repro/sim/x.py",

@@ -181,7 +181,7 @@ class TestCandidates:
         assert set(cands) == {4, 5}
 
     def test_candidates_sorted_regardless_of_dict_order(self):
-        # DRA103 spirit: candidate ranking must not depend on the
+        # DRA503 spirit: candidate ranking must not depend on the
         # construction order of the linecard dict.
         reversed_lcs = dict(sorted(make_lcs().items(), reverse=True))
         planner = CoveragePlanner(reversed_lcs, FaultMap())
