@@ -13,6 +13,7 @@ from repro.core.reliability import build_dra_reliability_chain
 from repro.core.states import AllHealthy
 from repro.markov import transient_distribution, uniformized_distribution
 from repro.analysis.sweep import FIG6_TIME_GRID
+from repro.validate.oracles import transient_distribution_ode
 
 CFG = DRAConfig(n=9, m=8)  # largest paper configuration: 73 states
 
@@ -22,6 +23,8 @@ def solve(method):
     pi0 = chain.initial_distribution(AllHealthy)
     if method == "uniformization":
         return uniformized_distribution(chain, FIG6_TIME_GRID, pi0)
+    if method == "ode":
+        return transient_distribution_ode(chain, FIG6_TIME_GRID, pi0)
     return transient_distribution(chain, FIG6_TIME_GRID, pi0, method=method)
 
 

@@ -73,10 +73,13 @@ def generate_report(*, jobs: int = 1, cache: "ResultCache | None" = None) -> str
 def _render(metrics, registry, jobs: int, cache) -> str:
     from repro.runtime import (
         Stopwatch,
+        effective_jobs,
         parallel_availability_sweep,
         parallel_performance_sweep,
         parallel_reliability_sweep,
     )
+
+    workers = effective_jobs(jobs)
 
     out = io.StringIO()
     w = out.write
@@ -87,28 +90,35 @@ def _render(metrics, registry, jobs: int, cache) -> str:
 
     # Figure 6.
     w("## Figure 6 — LC reliability R(t)\n\n```\n")
-    recs = parallel_reliability_sweep(
-        times=np.array(_LANDMARKS), configs=FIG6_CONFIGS,
-        jobs=jobs, cache=cache, metrics=metrics,
-    )
+    with Stopwatch() as sw:
+        recs = parallel_reliability_sweep(
+            times=np.array(_LANDMARKS), configs=FIG6_CONFIGS, jobs=jobs, cache=cache
+        )
+    metrics.record("reliability sweep (Figure 6)", sw.elapsed,
+                   items=len(recs), unit="points", jobs=workers)
     shown = [r for r in recs if r.label in _FIG6_SHOWN]
     w(format_reliability_table(shown, time_points=_LANDMARKS))
     w("\n```\n\n")
 
     # Figure 7.
     w("## Figure 7 — steady-state availability\n\n```\n")
-    arecs = parallel_availability_sweep(
-        configs=[(3, 2), (5, 2), (9, 2), (9, 4), (9, 6), (9, 8)],
-        jobs=jobs, cache=cache, metrics=metrics,
-    )
+    with Stopwatch() as sw:
+        arecs = parallel_availability_sweep(
+            configs=[(3, 2), (5, 2), (9, 2), (9, 4), (9, 6), (9, 8)],
+            jobs=jobs, cache=cache,
+        )
+    metrics.record("availability sweep (Figure 7)", sw.elapsed,
+                   items=len(arecs), unit="points", jobs=workers)
     w(format_availability_table(arecs))
     w("\n```\n\n")
 
     # Figure 8.
     w("## Figure 8 — bandwidth available to faulty LCs (N = 6)\n\n```\n")
-    w(format_performance_table(
-        parallel_performance_sweep(cache=cache, metrics=metrics)
-    ))
+    with Stopwatch() as sw:
+        precs = parallel_performance_sweep(cache=cache)
+    metrics.record("performance sweep (Figure 8)", sw.elapsed,
+                   items=len(precs), unit="points")
+    w(format_performance_table(precs))
     w("\n```\n\n")
 
     # MTTF extension.

@@ -73,21 +73,20 @@ def reliability_sweep(
     *,
     variant: str = "paper",
     include_bdr: bool = True,
-    method: str = "expm_multiply",
 ) -> list[SweepRecord]:
     """R(t) records for every configuration and time point (Figure 6)."""
     times = FIG6_TIME_GRID if times is None else np.asarray(times, dtype=np.float64)
     configs = FIG6_CONFIGS if configs is None else tuple(configs)
     records: list[SweepRecord] = []
     if include_bdr:
-        res = bdr_reliability(times, rates, method=method)
+        res = bdr_reliability(times, rates)
         records.extend(
             SweepRecord("BDR", float(t), float(r))
             for t, r in zip(times, res.reliability)
         )
     for n, m in configs:
         cfg = DRAConfig(n=n, m=m, variant=variant)
-        res = dra_reliability(cfg, times, rates, method=method)
+        res = dra_reliability(cfg, times, rates)
         records.extend(
             SweepRecord(
                 res.label, float(t), float(r), extra=(("n", n), ("m", m))

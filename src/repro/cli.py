@@ -691,17 +691,21 @@ def _parse_codes(text: str | None) -> frozenset[str] | None:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Run the AST invariant linter; nonzero exit on any finding."""
-    from repro.lint import lint_paths
+    from repro.lint import UnknownSelectorError, lint_paths
     from repro.obs import MetricsRegistry, collecting
 
     registry = MetricsRegistry()
-    with collecting(registry):
-        report = lint_paths(
-            args.paths,
-            select=_parse_codes(args.select),
-            ignore=_parse_codes(args.ignore),
-            graph_out=args.graph_out,
-        )
+    try:
+        with collecting(registry):
+            report = lint_paths(
+                args.paths,
+                select=_parse_codes(args.select),
+                ignore=_parse_codes(args.ignore),
+                graph_out=args.graph_out,
+            )
+    except UnknownSelectorError as exc:
+        print(f"repro lint: error: {exc}", file=sys.stderr)
+        return 2
     # timing goes to stderr: stdout (text or JSON) must stay
     # byte-identical across runs
     print(f"lint: wall {report.wall_ms:.1f} ms", file=sys.stderr)
@@ -951,7 +955,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="files/directories to scan (default: the repo tree)")
     p.add_argument("--select", metavar="CODES",
                    help="comma-separated rule codes or prefixes to run "
-                        "(e.g. DRA101,DRA2); default: every rule")
+                        "(e.g. DRA101,DRA5); default: every rule; a "
+                        "prefix matching no rule is a usage error")
     p.add_argument("--ignore", metavar="CODES",
                    help="comma-separated rule codes or prefixes to skip "
                         "(DRA5 skips the whole-project flow pass)")

@@ -152,16 +152,13 @@ class AvailabilityResult:
 
 
 def bdr_availability(
-    repair: RepairPolicy | None = None,
-    rates: FailureRates | None = None,
-    *,
-    method: str = "linear",
+    repair: RepairPolicy | None = None, rates: FailureRates | None = None
 ) -> AvailabilityResult:
     """BDR steady-state availability (analytically ``mu / (mu + lam_lc)``)."""
     repair = repair or RepairPolicy()
     rates = rates or FailureRates()
     chain = build_bdr_availability_chain(repair, rates)
-    pi = stationary_distribution(chain, method=method)
+    pi = stationary_distribution(chain)
     a = 1.0 - _failed_probability(chain, pi)
     return AvailabilityResult(
         availability=a, label="BDR", repair=repair, rates=rates
@@ -172,14 +169,12 @@ def dra_availability(
     config: DRAConfig,
     repair: RepairPolicy | None = None,
     rates: FailureRates | None = None,
-    *,
-    method: str = "linear",
 ) -> AvailabilityResult:
     """DRA steady-state availability for ``config``."""
     repair = repair or RepairPolicy()
     rates = rates or FailureRates()
     chain = build_dra_availability_chain(config, repair, rates)
-    pi = stationary_distribution(chain, method=method)
+    pi = stationary_distribution(chain)
     a = 1.0 - _failed_probability(chain, pi)
     return AvailabilityResult(
         availability=a,

@@ -162,10 +162,7 @@ class ReliabilityResult:
 
 
 def bdr_reliability(
-    times: np.ndarray,
-    rates: FailureRates | None = None,
-    *,
-    method: str = "expm_multiply",
+    times: np.ndarray, rates: FailureRates | None = None
 ) -> ReliabilityResult:
     """BDR reliability curve (analytically ``exp(-lam_lc t)``).
 
@@ -176,27 +173,19 @@ def bdr_reliability(
     rates = rates or FailureRates()
     times = np.asarray(times, dtype=np.float64)
     chain = build_bdr_reliability_chain(rates)
-    pi = transient_distribution(
-        chain, times, chain.initial_distribution(BDR_WORKING), method=method
-    )
+    pi = transient_distribution(chain, times, chain.initial_distribution(BDR_WORKING))
     r = 1.0 - pi[:, chain.index_of(Failed)]
     return ReliabilityResult(times=times, reliability=r, label="BDR", rates=rates)
 
 
 def dra_reliability(
-    config: DRAConfig,
-    times: np.ndarray,
-    rates: FailureRates | None = None,
-    *,
-    method: str = "expm_multiply",
+    config: DRAConfig, times: np.ndarray, rates: FailureRates | None = None
 ) -> ReliabilityResult:
     """DRA reliability curve for ``config`` on the given time grid."""
     rates = rates or FailureRates()
     times = np.asarray(times, dtype=np.float64)
     chain = build_dra_reliability_chain(config, rates)
-    pi = transient_distribution(
-        chain, times, chain.initial_distribution(AllHealthy), method=method
-    )
+    pi = transient_distribution(chain, times, chain.initial_distribution(AllHealthy))
     r = 1.0 - pi[:, chain.index_of(Failed)]
     label = f"DRA(N={config.n},M={config.m})"
     return ReliabilityResult(

@@ -29,6 +29,7 @@ from repro.lint.engine import (
     LINT_SCHEMA_VERSION,
     PARSE_ERROR_CODE,
     LintReport,
+    UnknownSelectorError,
     iter_python_files,
     lint_paths,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "RULES",
     "Rule",
     "Suppression",
+    "UnknownSelectorError",
     "all_codes",
     "analyze_project",
     "iter_python_files",

@@ -29,11 +29,17 @@ from repro.lint.context import FileContext
 from repro.lint.findings import Finding
 from repro.lint.flow.rules5xx import FLOW_RULES
 from repro.lint.rules import RULES
-from repro.lint.suppress import apply_suppressions
+from repro.lint.suppress import SUPPRESSION_CODE, apply_suppressions
 from repro.obs import metrics as _metrics
 from repro.runtime.timing import Stopwatch
 
-__all__ = ["LINT_SCHEMA_VERSION", "PARSE_ERROR_CODE", "LintReport", "lint_paths"]
+__all__ = [
+    "LINT_SCHEMA_VERSION",
+    "PARSE_ERROR_CODE",
+    "LintReport",
+    "UnknownSelectorError",
+    "lint_paths",
+]
 
 #: Version stamp of the ``--format json`` payload.
 LINT_SCHEMA_VERSION = 1
@@ -43,6 +49,10 @@ PARSE_ERROR_CODE = "DRA002"
 
 #: Directory names never descended into.
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "node_modules"})
+
+
+class UnknownSelectorError(ValueError):
+    """A ``select``/``ignore`` prefix that matches no code in the catalogue."""
 
 
 @dataclass(frozen=True)
@@ -154,10 +164,13 @@ def lint_paths(
     """Lint every Python file under ``paths``.
 
     ``select``/``ignore`` take rule-code prefixes (``DRA1`` covers all
-    of ``DRA1xx``).  The DRA5xx whole-project pass runs when any DRA5xx
+    of ``DRA1xx``); a prefix matching no code in the catalogue raises
+    :class:`UnknownSelectorError`, since it would silently select or
+    skip nothing.  The DRA5xx whole-project pass runs when any DRA5xx
     code survives ``select``/``ignore``, or when ``graph_out`` asks for
     the call graph as schema-versioned JSON.
     """
+    _check_selectors(select, ignore)
     watch = Stopwatch()
     with watch:
         files = iter_python_files(paths)
@@ -197,6 +210,24 @@ def lint_paths(
         selected=selected,
         wall_ms=watch.elapsed * 1000.0,
     )
+
+
+def known_codes() -> frozenset[str]:
+    """The catalogue: every rule code plus DRA001 and DRA002."""
+    return frozenset((SUPPRESSION_CODE, PARSE_ERROR_CODE, *RULES, *FLOW_RULES))
+
+
+def _check_selectors(
+    select: frozenset[str] | None, ignore: frozenset[str] | None
+) -> None:
+    catalogue = known_codes()
+    for option, selectors in (("select", select), ("ignore", ignore)):
+        for sel in sorted(selectors or ()):
+            if not any(code.startswith(sel) for code in catalogue):
+                raise UnknownSelectorError(
+                    f"--{option} {sel} matches no rule code; see "
+                    "docs/static-analysis.md for the catalogue"
+                )
 
 
 def _selected_codes(

@@ -17,8 +17,9 @@ and the dataflow summaries of :mod:`repro.lint.flow.dataflow`:
   scanned module (module-level code included);
 * **DRA504** trace/metric names -- emit kinds and metric names must
   constant-fold (through literals, locals, module constants and thin
-  wrappers, judged at their callers) to a :mod:`repro.obs.schema`
-  registration, or be f-strings opening with a registered family;
+  wrappers, judged at their callers in any scanned module) to a
+  :mod:`repro.obs.schema` registration, or be f-strings opening with a
+  registered family;
 * **DRA505** hot-path purity -- wall-clock, filesystem and network
   calls reachable from frames the simulation engine schedules
   (``Engine.run`` fires them; nondeterminism there corrupts results
@@ -630,8 +631,6 @@ def _check_wrapper_sites(
         if caller is None:
             continue
         cmod = p.index.module_of(caller)
-        if cmod.ctx.is_test_code or cmod.ctx.is_example:
-            continue
         offset = 1 if wrapper.class_qname is not None else 0
         args = site.node.args
         idx = param_idx - offset

@@ -73,10 +73,9 @@ def scan_suppressions(
     missing/empty ``reason=``, or a code outside the rule catalogue).
     """
     # deferred: the engine and the rule registry import this module
-    from repro.lint.engine import PARSE_ERROR_CODE
-    from repro.lint.rules import all_codes
+    from repro.lint.engine import known_codes
 
-    known = {SUPPRESSION_CODE, PARSE_ERROR_CODE, *all_codes()}
+    known = known_codes()
     table: dict[int, Suppression] = {}
     findings: list[Finding] = []
     for lineno, col, text in _comment_tokens(source):

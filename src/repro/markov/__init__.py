@@ -8,11 +8,13 @@ analysis (Section 5 of Mandviwalla & Tzeng, ICPP 2004).  It provides:
 * :class:`~repro.markov.builder.CTMCBuilder` -- incremental construction of
   chains from (state, state, rate) triples.
 * :mod:`~repro.markov.transient` -- transient state-probability solvers
-  (matrix exponential, Krylov ``expm_multiply`` and an RK45 ODE fallback).
+  (Krylov ``expm_multiply`` and the dense matrix exponential; the LSODA
+  ODE reference lives in :mod:`repro.validate.oracles`).
 * :mod:`~repro.markov.uniformization` -- Jensen's uniformization with an
   a-priori truncation error bound, used to cross-check the other solvers.
-* :mod:`~repro.markov.stationary` -- steady-state solvers (sparse linear
-  solve, dense null space, power iteration on the uniformized chain).
+* :mod:`~repro.markov.stationary` -- the steady-state solver (sparse
+  linear solve; the null-space and power-iteration references live in
+  :mod:`repro.validate.oracles`).
 * :mod:`~repro.markov.absorbing` -- absorption probabilities, mean time to
   absorption and phase-type distribution evaluation.
 * :mod:`~repro.markov.sensitivity` -- parametric sensitivity of transient

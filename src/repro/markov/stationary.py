@@ -1,9 +1,11 @@
-"""Steady-state distribution solvers for irreducible CTMCs.
+"""Steady-state distribution solver for irreducible CTMCs.
 
 The stationary distribution ``pi`` solves ``pi @ Q = 0`` with
-``sum(pi) = 1``.  Three independent methods are provided; availability
-analysis (:mod:`repro.core.availability`) uses ``linear`` by default, while
-tests cross-check all three.
+``sum(pi) = 1``.  Production solves it one way: a sparse linear system
+with one balance equation replaced by the normalization constraint.  The
+independent dense null-space and power-iteration solvers that tests
+cross-check it against are reference oracles in
+:mod:`repro.validate.oracles`.
 
 The repair-augmented dependability chains of Section 5.2 are irreducible by
 construction (every state repairs back to the all-healthy state), so
@@ -13,7 +15,6 @@ existence and uniqueness of ``pi`` are guaranteed.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
@@ -21,9 +22,7 @@ from repro.markov.ctmc import CTMC
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
-__all__ = ["stationary_distribution", "STATIONARY_METHODS", "is_irreducible"]
-
-STATIONARY_METHODS = ("linear", "nullspace", "power")
+__all__ = ["stationary_distribution", "is_irreducible"]
 
 
 def is_irreducible(chain: CTMC) -> bool:
@@ -34,26 +33,13 @@ def is_irreducible(chain: CTMC) -> bool:
     return n_comp == 1
 
 
-def stationary_distribution(
-    chain: CTMC,
-    *,
-    method: str = "linear",
-    tol: float = 1e-13,
-    max_iter: int = 2_000_000,
-) -> np.ndarray:
+def stationary_distribution(chain: CTMC) -> np.ndarray:
     """Stationary distribution of an irreducible CTMC.
 
     Parameters
     ----------
     chain:
         The chain; must be irreducible (checked).
-    method:
-        ``linear`` replaces one balance equation with the normalization
-        constraint and solves the sparse system (default); ``nullspace``
-        extracts the null space of ``Q^T`` by dense SVD; ``power`` runs
-        power iteration on the uniformized DTMC.
-    tol, max_iter:
-        Convergence controls for ``power`` (ignored otherwise).
 
     Returns
     -------
@@ -62,39 +48,29 @@ def stationary_distribution(
     """
     if chain.n_states == 1:
         return np.ones(1)
-    if not is_irreducible(chain):
-        raise ValueError(
-            "chain is not irreducible; stationary distribution is not unique"
-        )
-    iterations = 0
-    if method == "linear":
-        pi = _solve_linear(chain)
-    elif method == "nullspace":
-        pi = _solve_nullspace(chain)
-    elif method == "power":
-        pi, iterations = _solve_power(chain, tol=tol, max_iter=max_iter)
-    else:
-        raise ValueError(f"unknown method {method!r}; choose from {STATIONARY_METHODS}")
+    _require_irreducible(chain)
+    pi = _solve_linear(chain)
     if _metrics.REGISTRY is not None or _trace.TRACER is not None:
         # The balance residual max|pi Q| is one sparse matvec -- cheap
-        # relative to any of the solves, and only computed when observed.
+        # relative to the solve, and only computed when observed.
         residual = float(np.abs(pi @ chain.generator).max())
         if _metrics.REGISTRY is not None:
             reg = _metrics.REGISTRY
             reg.counter("solver.stationary.solves").inc()
-            reg.counter(f"solver.stationary.solves.{method}").inc()
-            if iterations:
-                reg.counter("solver.stationary.iterations").inc(iterations)
             reg.gauge("solver.stationary.residual").set(residual)
         if _trace.TRACER is not None:
             _trace.TRACER.emit(
-                "solver.stationary",
-                n_states=chain.n_states,
-                method=method,
-                iterations=iterations,
-                residual=residual,
+                "solver.stationary", n_states=chain.n_states, residual=residual
             )
     return pi
+
+
+def _require_irreducible(chain: CTMC) -> None:
+    """Shared with the reference solvers in :mod:`repro.validate.oracles`."""
+    if not is_irreducible(chain):
+        raise ValueError(
+            "chain is not irreducible; stationary distribution is not unique"
+        )
 
 
 def _solve_linear(chain: CTMC) -> np.ndarray:
@@ -110,33 +86,9 @@ def _solve_linear(chain: CTMC) -> np.ndarray:
     return _clean(pi)
 
 
-def _solve_nullspace(chain: CTMC) -> np.ndarray:
-    QT = chain.generator.T.toarray()
-    ns = scipy.linalg.null_space(QT)
-    if ns.shape[1] != 1:  # pragma: no cover - guarded by irreducibility check
-        raise RuntimeError(f"null space dimension {ns.shape[1]} != 1")
-    pi = ns[:, 0]
-    if pi.sum() < 0:
-        pi = -pi
-    return _clean(pi)
-
-
-def _solve_power(chain: CTMC, *, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
-    P, _lam = chain.uniformized_matrix()
-    PT = P.T.tocsr()
-    pi = np.full(chain.n_states, 1.0 / chain.n_states)
-    for iteration in range(1, max_iter + 1):
-        nxt = PT @ pi
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).max() < tol:
-            return _clean(nxt), iteration
-        pi = nxt
-    raise RuntimeError(
-        f"power iteration did not converge in {max_iter} iterations"
-    )
-
-
 def _clean(pi: np.ndarray) -> np.ndarray:
+    """Zero underflow, reject real negatives, renormalise (shared with
+    the reference solvers in :mod:`repro.validate.oracles`)."""
     pi = np.where(np.abs(pi) < 1e-300, 0.0, pi)
     if pi.min() < -1e-9 * max(1.0, pi.max()):
         raise RuntimeError("stationary solve produced a significantly negative entry")

@@ -1,6 +1,6 @@
 """Transient distribution solvers for CTMCs.
 
-Computes ``pi(t) = pi(0) @ expm(Q t)`` on a grid of time points.  Three
+Computes ``pi(t) = pi(0) @ expm(Q t)`` on a grid of time points.  Two
 methods are provided:
 
 ``expm_multiply``
@@ -10,31 +10,32 @@ methods are provided:
     (hundreds of states, very stiff rate spread).
 
 ``expm``
-    Dense Pade matrix exponential; O(n^3) per distinct time step but an
-    independent code path, used in cross-validation tests.
+    Dense Pade matrix exponential; O(n^3) per distinct time step, but
+    independent of ``||Q|| t``, so small chains evaluated at horizons of
+    millions of hours use it
+    (:meth:`~repro.core.performability.PerformabilityModel.transient`).
 
-``ode``
-    RK45 integration of the Kolmogorov forward equation via
-    :func:`scipy.integrate.solve_ivp`; a third independent path.
+An independent third path, LSODA integration of the Kolmogorov forward
+equation, is the reference solver
+:func:`repro.validate.oracles.transient_distribution_ode`.
 
-All methods return an ``(n_times, n_states)`` array whose rows are
+Both methods return an ``(n_times, n_states)`` array whose rows are
 probability distributions.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.integrate
 import scipy.sparse.linalg
 
 from repro.markov.ctmc import CTMC
 
 __all__ = ["transient_distribution", "TRANSIENT_METHODS"]
 
-TRANSIENT_METHODS = ("expm_multiply", "expm", "ode")
+TRANSIENT_METHODS = ("expm_multiply", "expm")
 
 
 def transient_distribution(
@@ -43,8 +44,6 @@ def transient_distribution(
     initial: np.ndarray | None = None,
     *,
     method: str = "expm_multiply",
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> np.ndarray:
     """State probabilities of ``chain`` at each time in ``times``.
 
@@ -58,13 +57,28 @@ def transient_distribution(
         Initial distribution; defaults to all mass on state index 0.
     method:
         One of :data:`TRANSIENT_METHODS`.
-    rtol, atol:
-        Tolerances for the ``ode`` method (ignored otherwise).
 
     Returns
     -------
     numpy.ndarray
         Array of shape ``(len(times), n_states)``; row ``k`` is ``pi(times[k])``.
+    """
+    if method == "expm_multiply":
+        return _solve_checked(chain, times, initial, _solve_expm_multiply)
+    if method == "expm":
+        return _solve_checked(chain, times, initial, _solve_dense_expm)
+    raise ValueError(f"unknown method {method!r}; choose from {TRANSIENT_METHODS}")
+
+
+def _solve_checked(
+    chain: CTMC,
+    times: Sequence[float] | np.ndarray,
+    initial: np.ndarray | None,
+    solve: Callable[[CTMC, np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Validate the inputs, run ``solve`` and renormalise its rows.
+
+    Shared with the ODE reference solver in :mod:`repro.validate.oracles`.
     """
     t = np.asarray(times, dtype=np.float64)
     if t.ndim != 1:
@@ -84,16 +98,7 @@ def transient_distribution(
         raise ValueError(f"initial distribution sums to {pi0.sum()}, expected 1")
     if t.size == 0:
         return np.empty((0, chain.n_states))
-
-    if method == "expm_multiply":
-        out = _solve_expm_multiply(chain, t, pi0)
-    elif method == "expm":
-        out = _solve_dense_expm(chain, t, pi0)
-    elif method == "ode":
-        out = _solve_ode(chain, t, pi0, rtol=rtol, atol=atol)
-    else:
-        raise ValueError(f"unknown method {method!r}; choose from {TRANSIENT_METHODS}")
-
+    out = solve(chain, t, pi0)
     # Solvers introduce tiny negative round-off; clip and renormalize so
     # downstream reliability/availability numbers are proper probabilities.
     np.clip(out, 0.0, None, out=out)
@@ -131,35 +136,4 @@ def _solve_dense_expm(chain: CTMC, t: np.ndarray, pi0: np.ndarray) -> np.ndarray
         if key not in cache:
             cache[key] = scipy.linalg.expm(Q * key)
         out[k] = pi0 @ cache[key]
-    return out
-
-
-def _solve_ode(
-    chain: CTMC, t: np.ndarray, pi0: np.ndarray, *, rtol: float, atol: float
-) -> np.ndarray:
-    QT = chain.generator.T.tocsr()
-
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        return QT @ y
-
-    order = np.argsort(t, kind="stable")
-    sorted_t = t[order]
-    t_end = float(sorted_t[-1])
-    if t_end == 0.0:
-        return np.tile(pi0, (t.size, 1))
-    sol = scipy.integrate.solve_ivp(
-        rhs,
-        (0.0, t_end),
-        pi0,
-        t_eval=np.unique(sorted_t),
-        method="LSODA",  # stiff-aware: failure ~1e-6/h vs repair ~1e0/h rates
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:  # pragma: no cover - scipy failure path
-        raise RuntimeError(f"ODE transient solve failed: {sol.message}")
-    by_time = {float(tv): sol.y[:, i] for i, tv in enumerate(sol.t)}
-    out = np.empty((t.size, chain.n_states))
-    for k, tk in enumerate(t):
-        out[k] = by_time[float(tk)]
     return out

@@ -116,7 +116,6 @@ METRIC_NAMES: Mapping[str, str] = {
     "coverage.degradations": "counter: proportional rate-shedding rounds",
     # solvers
     "solver.stationary.solves": "counter: stationary solves",
-    "solver.stationary.iterations": "counter: power-method iterations",
     "solver.stationary.residual": "gauge: max |pi Q| of the last solve",
     "solver.uniformization.solves": "counter: uniformization solves",
     "solver.uniformization.iterations": "counter: Poisson terms summed",
@@ -148,7 +147,6 @@ METRIC_NAMES: Mapping[str, str] = {
 #: An f-string metric name is schema-conformant when its literal prefix
 #: is registered here.
 METRIC_FAMILIES: Mapping[str, tuple[str, ...] | None] = {
-    "solver.stationary.solves.": ("direct", "eigs", "power"),
     "bus.ctl.sent.": None,  # one per ControlKind value
     "bus.data.dropped.": ("no_lp", "unhealthy", "buffer_full", "rate_limited"),
     "coverage.plans.": ("case1", "case2", "case3", "dropped"),

@@ -36,7 +36,6 @@ from repro.montecarlo.importance import (
 )
 from repro.montecarlo.lifetime import LifetimeEstimate, sample_lc_failure_times
 from repro.runtime.executor import effective_jobs, metered_parallel_map
-from repro.runtime.timing import RuntimeMetrics, Stopwatch
 
 __all__ = [
     "DEFAULT_MC_CHUNK_TRIALS",
@@ -98,7 +97,6 @@ def parallel_structure_function_reliability(
     rates: FailureRates | None = None,
     jobs: int = 1,
     chunk_trials: int = DEFAULT_MC_CHUNK_TRIALS,
-    metrics: RuntimeMetrics | None = None,
 ) -> LifetimeEstimate:
     """Parallel empirical ``R(t)`` from the DRA structure function.
 
@@ -114,19 +112,10 @@ def parallel_structure_function_reliability(
     payloads = [
         (config, times, size, seed, rates) for size, seed in zip(sizes, seeds)
     ]
-    with Stopwatch() as sw:
-        counts = metered_parallel_map(_lifetime_chunk, payloads, jobs=jobs)
+    counts = metered_parallel_map(_lifetime_chunk, payloads, jobs=jobs)
     survivors = np.sum(counts, axis=0, dtype=np.int64)
     r_hat = survivors / n_samples
     se = np.sqrt(np.clip(r_hat * (1.0 - r_hat), 0.0, None) / n_samples)
-    if metrics is not None:
-        metrics.record(
-            f"structure-function MC {config.n}x{config.m}",
-            sw.elapsed,
-            items=n_samples,
-            unit="trials",
-            jobs=jobs,
-        )
     return LifetimeEstimate(
         times=times, reliability=r_hat, std_error=se, n_samples=n_samples
     )
@@ -171,7 +160,6 @@ def parallel_unavailability_importance_sampling(
     bias: float = 0.5,
     repair_threshold: float = 100.0,
     max_jumps_per_cycle: int = 100_000,
-    metrics: RuntimeMetrics | None = None,
 ) -> ImportanceSamplingResult:
     """Parallel balanced-failure-biasing estimate of DRA unavailability.
 
@@ -189,15 +177,5 @@ def parallel_unavailability_importance_sampling(
         (config, repair, rates, size, seed, bias, repair_threshold, max_jumps_per_cycle)
         for size, seed in zip(sizes, seeds)
     ]
-    with Stopwatch() as sw:
-        stats = metered_parallel_map(_is_chunk, payloads, jobs=jobs)
-    merged = reduce(CycleStatistics.merge, stats)
-    if metrics is not None:
-        metrics.record(
-            f"importance sampling DRA({config.n},{config.m})",
-            sw.elapsed,
-            items=n_cycles,
-            unit="cycles",
-            jobs=jobs,
-        )
-    return result_from_statistics(merged)
+    stats = metered_parallel_map(_is_chunk, payloads, jobs=jobs)
+    return result_from_statistics(reduce(CycleStatistics.merge, stats))

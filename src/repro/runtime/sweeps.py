@@ -33,7 +33,6 @@ from repro.core.parameters import FailureRates, RepairPolicy
 from repro.core.performance import DEFAULT_LC_CAPACITY_GBPS
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import effective_jobs, metered_parallel_map
-from repro.runtime.timing import RuntimeMetrics, Stopwatch
 
 __all__ = [
     "parallel_reliability_sweep",
@@ -72,19 +71,12 @@ def _fill_units(
 
 
 def _reliability_unit(payload: tuple) -> list[SweepRecord]:
-    times, spec, rates, variant, method = payload
+    times, spec, rates, variant = payload
     if spec == _BDR:
-        return reliability_sweep(
-            times, configs=(), rates=rates, include_bdr=True, method=method
-        )
+        return reliability_sweep(times, configs=(), rates=rates, include_bdr=True)
     n, m = spec
     return reliability_sweep(
-        times,
-        configs=[(n, m)],
-        rates=rates,
-        variant=variant,
-        include_bdr=False,
-        method=method,
+        times, configs=[(n, m)], rates=rates, variant=variant, include_bdr=False
     )
 
 
@@ -95,10 +87,8 @@ def parallel_reliability_sweep(
     *,
     variant: str = "paper",
     include_bdr: bool = True,
-    method: str = "expm_multiply",
     jobs: int = 1,
     cache: ResultCache | None = None,
-    metrics: RuntimeMetrics | None = None,
 ) -> list[SweepRecord]:
     """Figure 6 records, one worker task per reliability curve."""
     times = FIG6_TIME_GRID if times is None else np.asarray(times, dtype=np.float64)
@@ -106,7 +96,7 @@ def parallel_reliability_sweep(
     rates = rates or FailureRates()
     jobs = effective_jobs(jobs)
     specs: list[Any] = ([_BDR] if include_bdr else []) + list(configs)
-    payloads = [(times, spec, rates, variant, method) for spec in specs]
+    payloads = [(times, spec, rates, variant) for spec in specs]
     keys = (
         [
             cache.key(
@@ -115,25 +105,14 @@ def parallel_reliability_sweep(
                 spec=spec,
                 rates=rates,
                 variant=variant,
-                method=method,
             )
             for spec in specs
         ]
         if cache is not None
         else None
     )
-    with Stopwatch() as sw:
-        per_unit = _fill_units(payloads, _reliability_unit, keys, jobs=jobs, cache=cache)
-    records = [rec for unit in per_unit for rec in unit]
-    if metrics is not None:
-        metrics.record(
-            "reliability sweep (Figure 6)",
-            sw.elapsed,
-            items=len(records),
-            unit="points",
-            jobs=jobs,
-        )
-    return records
+    per_unit = _fill_units(payloads, _reliability_unit, keys, jobs=jobs, cache=cache)
+    return [rec for unit in per_unit for rec in unit]
 
 
 def _availability_unit(payload: tuple) -> list[SweepRecord]:
@@ -161,7 +140,6 @@ def parallel_availability_sweep(
     include_bdr: bool = True,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    metrics: RuntimeMetrics | None = None,
 ) -> list[SweepRecord]:
     """Figure 7 records, one worker task per (repair policy, config)."""
     configs = FIG7_CONFIGS if configs is None else tuple(configs)
@@ -191,18 +169,8 @@ def parallel_availability_sweep(
         if cache is not None
         else None
     )
-    with Stopwatch() as sw:
-        per_unit = _fill_units(payloads, _availability_unit, keys, jobs=jobs, cache=cache)
-    records = [rec for unit in per_unit for rec in unit]
-    if metrics is not None:
-        metrics.record(
-            "availability sweep (Figure 7)",
-            sw.elapsed,
-            items=len(records),
-            unit="points",
-            jobs=jobs,
-        )
-    return records
+    per_unit = _fill_units(payloads, _availability_unit, keys, jobs=jobs, cache=cache)
+    return [rec for unit in per_unit for rec in unit]
 
 
 def parallel_performance_sweep(
@@ -212,30 +180,18 @@ def parallel_performance_sweep(
     c_lc: float = DEFAULT_LC_CAPACITY_GBPS,
     b_bus: float | None = None,
     cache: ResultCache | None = None,
-    metrics: RuntimeMetrics | None = None,
 ) -> list[SweepRecord]:
     """Figure 8 records (algebraic -- microseconds of work, so the
     computation always runs in-process; the cache still applies)."""
-    with Stopwatch() as sw:
-        if cache is not None:
-            key = cache.key(
-                "performance_sweep",
-                loads=None if loads is None else tuple(loads),
-                n=n,
-                c_lc=c_lc,
-                b_bus=b_bus,
-            )
-            records = cache.get_or_compute(
-                key, lambda: performance_sweep(loads=loads, n=n, c_lc=c_lc, b_bus=b_bus)
-            )
-        else:
-            records = performance_sweep(loads=loads, n=n, c_lc=c_lc, b_bus=b_bus)
-    if metrics is not None:
-        metrics.record(
-            "performance sweep (Figure 8)",
-            sw.elapsed,
-            items=len(records),
-            unit="points",
-            jobs=1,
-        )
-    return records
+    if cache is None:
+        return performance_sweep(loads=loads, n=n, c_lc=c_lc, b_bus=b_bus)
+    key = cache.key(
+        "performance_sweep",
+        loads=None if loads is None else tuple(loads),
+        n=n,
+        c_lc=c_lc,
+        b_bus=b_bus,
+    )
+    return cache.get_or_compute(
+        key, lambda: performance_sweep(loads=loads, n=n, c_lc=c_lc, b_bus=b_bus)
+    )

@@ -1,10 +1,9 @@
 """Lightweight wall-time / throughput instrumentation.
 
-The runtime layer measures, the analysis layer reports: parallel sweeps
-and Monte Carlo drivers record one :class:`StageTiming` per stage into a
-shared :class:`RuntimeMetrics`, and ``repro.analysis.report`` (plus the
-``bench`` CLI subcommand) renders the table.  Timing never alters
-results -- it wraps computations, it does not reorder them.
+``repro.analysis.report`` wraps each of its stages in a
+:class:`Stopwatch` and records one :class:`StageTiming` per stage into a
+:class:`RuntimeMetrics`, which renders its Runtime table.  Timing never
+alters results -- it wraps computations, it does not reorder them.
 """
 
 from __future__ import annotations

@@ -1,11 +1,19 @@
-"""Scalar reference oracles for the batched production kernels.
+"""Reference oracles for the production kernels and solvers.
 
 Each hot kernel runs one batched path in production; its original
 one-item-at-a-time loop lives here, as the reference that tests, CI and
 the ``bench --suite throughput`` speedup metrics compare against.  The
 cell clock and the lifetime sampler are bit-identical to production;
 the trajectory and cycle loops consume the RNG stream in another order,
-so they agree statistically.  Production modules never import this one.
+so they agree statistically.
+
+Each Markov computation likewise has one production solver; the
+independent solvers it is cross-checked against live here too
+(:func:`transient_distribution_ode`, and the
+:func:`stationary_distribution_nullspace` and
+:func:`stationary_distribution_power` steady-state solvers).  They share
+production's input checks and normalisation, so they differ from it only
+in the numerical method.  Production modules never import this one.
 """
 
 from __future__ import annotations
@@ -14,9 +22,13 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 
 import numpy as np
+import scipy.integrate
+import scipy.linalg
 
 from repro.core.parameters import DRAConfig, FailureRates
 from repro.markov.ctmc import CTMC
+from repro.markov.stationary import _clean, _require_irreducible
+from repro.markov.transient import _solve_checked
 from repro.montecarlo.ctmc_mc import _JumpSampler, sample_trajectory
 from repro.montecarlo.importance import (
     CycleStatistics,
@@ -33,6 +45,9 @@ __all__ = [
     "empirical_state_probabilities_scalar",
     "sample_lc_failure_times_scalar",
     "scalar_cell_clock",
+    "stationary_distribution_nullspace",
+    "stationary_distribution_power",
+    "transient_distribution_ode",
 ]
 
 
@@ -233,3 +248,79 @@ def collect_cycle_statistics_scalar(
             rows, regen, failed, rng, max_jumps_per_cycle
         )
     return _cycle_statistics(chain, bias, lengths, downtimes, hit_flags)
+
+
+# --- Markov solvers ------------------------------------------------------
+
+
+def _solve_ode(chain: CTMC, t: np.ndarray, pi0: np.ndarray) -> np.ndarray:
+    QT = chain.generator.T.tocsr()
+
+    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
+        return QT @ y
+
+    t_end = float(t.max())
+    if t_end == 0.0:
+        return np.tile(pi0, (t.size, 1))
+    sol = scipy.integrate.solve_ivp(
+        rhs,
+        (0.0, t_end),
+        pi0,
+        t_eval=np.unique(t),
+        method="LSODA",  # stiff-aware: failure ~1e-6/h vs repair ~1e0/h rates
+        rtol=1e-10,
+        atol=1e-12,
+    )
+    if not sol.success:  # pragma: no cover - scipy failure path
+        raise RuntimeError(f"ODE transient solve failed: {sol.message}")
+    by_time = {float(tv): sol.y[:, i] for i, tv in enumerate(sol.t)}
+    return np.array([by_time[float(tk)] for tk in t])
+
+
+def transient_distribution_ode(
+    chain: CTMC,
+    times: np.ndarray,
+    initial: np.ndarray | None = None,
+) -> np.ndarray:
+    """LSODA reference for :func:`repro.markov.transient_distribution`.
+
+    Integrates the Kolmogorov forward equation ``dpi/dt = pi Q`` to
+    rtol 1e-10 / atol 1e-12, with production's input checks and row
+    renormalisation.
+    """
+    return _solve_checked(chain, times, initial, _solve_ode)
+
+
+def stationary_distribution_nullspace(chain: CTMC) -> np.ndarray:
+    """Dense-SVD reference for :func:`repro.markov.stationary_distribution`:
+    the null space of ``Q^T``."""
+    if chain.n_states == 1:
+        return np.ones(1)
+    _require_irreducible(chain)
+    ns = scipy.linalg.null_space(chain.generator.T.toarray())
+    if ns.shape[1] != 1:  # pragma: no cover - guarded by irreducibility check
+        raise RuntimeError(f"null space dimension {ns.shape[1]} != 1")
+    pi = ns[:, 0]
+    return _clean(-pi if pi.sum() < 0 else pi)
+
+
+def stationary_distribution_power(chain: CTMC) -> np.ndarray:
+    """Power-iteration reference for
+    :func:`repro.markov.stationary_distribution`, on the uniformized DTMC
+    until the largest per-step change is below 1e-13."""
+    if chain.n_states == 1:
+        return np.ones(1)
+    _require_irreducible(chain)
+    P, _lam = chain.uniformized_matrix()
+    PT = P.T.tocsr()
+    pi = np.full(chain.n_states, 1.0 / chain.n_states)
+    max_iter = 2_000_000
+    for _ in range(max_iter):
+        nxt = PT @ pi
+        nxt /= nxt.sum()
+        if np.abs(nxt - pi).max() < 1e-13:
+            return _clean(nxt)
+        pi = nxt
+    raise RuntimeError(
+        f"power iteration did not converge in {max_iter} iterations"
+    )

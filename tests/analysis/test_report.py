@@ -23,6 +23,22 @@ class TestReport:
         assert "9^9" in text  # saturation
         assert "lam_lpi" in text
 
+    def test_runtime_section_lists_every_stage(self):
+        text = generate_report(jobs=1)
+        section = text.split("## Runtime")[1].split("```")[1]
+        # the report times each of its stages itself and counts the
+        # records each one produced: (stage, jobs, items) per row
+        stages = [
+            (line[:34].strip(), *line[34:].split()[0:3:2])
+            for line in section.strip().splitlines()[1:-1]
+        ]
+        assert stages == [
+            ("reliability sweep (Figure 6)", "1", "78"),
+            ("availability sweep (Figure 7)", "1", "14"),
+            ("performance sweep (Figure 8)", "1", "20"),
+            ("MTTF extension", "1", "6"),
+        ]
+
     def test_markdown_code_fences_balanced(self):
         text = generate_report()
         assert text.count("```") % 2 == 0

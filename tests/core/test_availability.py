@@ -16,6 +16,7 @@ from repro.core.availability import (
 from repro.core.states import AllHealthy, Failed
 from repro.markov import stationary_distribution
 from repro.markov.stationary import is_irreducible
+from repro.validate.oracles import stationary_distribution_nullspace
 
 
 class TestChains:
@@ -63,8 +64,8 @@ class TestDRAAvailability:
 
     def test_stationary_methods_agree(self):
         chain = build_dra_availability_chain(DRAConfig(n=6, m=3))
-        a = stationary_distribution(chain, method="linear")
-        b = stationary_distribution(chain, method="nullspace")
+        a = stationary_distribution(chain)
+        b = stationary_distribution_nullspace(chain)
         f = chain.index_of(Failed)
         assert a[f] == pytest.approx(b[f], rel=1e-4)
 

@@ -2,7 +2,7 @@
 
 These tests are the reproduction's safety net.  The same quantity is
 computed through (1) the sparse transient solver, (2) dense expm,
-(3) uniformization, (4) the phase-type CDF of the absorbing chain,
+(3) uniformization and the LSODA oracle, (4) the phase-type CDF of the absorbing chain,
 (5) CTMC trajectory sampling, and (6) the structure-function Monte Carlo
 -- all six must coincide.
 """
@@ -24,6 +24,7 @@ from repro.montecarlo import (
     empirical_state_probabilities,
     structure_function_reliability,
 )
+from repro.validate.oracles import transient_distribution_ode
 
 CFG = DRAConfig(n=6, m=3)
 TIMES = np.array([5_000.0, 40_000.0, 90_000.0])
@@ -35,7 +36,7 @@ class TestSolverAgreement:
         pi0 = chain.initial_distribution(AllHealthy)
         a = transient_distribution(chain, TIMES, pi0, method="expm_multiply")
         b = transient_distribution(chain, TIMES, pi0, method="expm")
-        c = transient_distribution(chain, TIMES, pi0, method="ode")
+        c = transient_distribution_ode(chain, TIMES, pi0)
         d = uniformized_distribution(chain, TIMES, pi0)
         np.testing.assert_allclose(b, a, atol=1e-8)
         np.testing.assert_allclose(c, a, atol=1e-6)

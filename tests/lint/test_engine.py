@@ -8,7 +8,7 @@ import textwrap
 import pytest
 
 from repro.cli import main
-from repro.lint import lint_paths
+from repro.lint import UnknownSelectorError, lint_paths
 from repro.obs.metrics import MetricsRegistry, collecting
 
 MIXED = """
@@ -47,6 +47,19 @@ class TestSelection:
         _write_tree(tmp_path, VIOLATIONS)
         report = lint_paths([str(tmp_path)], select=frozenset({"DRA102"}))
         assert [f.code for f in report.findings] == ["DRA102"]
+
+    @pytest.mark.parametrize("option", ["select", "ignore"])
+    def test_prefix_matching_no_rule_rejected(self, tmp_path, option):
+        # DRA103 was folded into DRA503: selecting it must not quietly
+        # run zero rules
+        _write_tree(tmp_path, VIOLATIONS)
+        with pytest.raises(UnknownSelectorError, match=f"--{option} DRA103"):
+            lint_paths([str(tmp_path)], **{option: frozenset({"DRA1", "DRA103"})})
+
+    def test_catalogue_prefixes_accepted(self, tmp_path):
+        _write_tree(tmp_path, VIOLATIONS)
+        for sel in ("DRA1", "DRA0", "DRA001", "DRA002", "DRA"):
+            lint_paths([str(tmp_path)], select=frozenset({sel}))
 
 
 class TestDeterminism:
@@ -117,6 +130,16 @@ class TestCliGate:
         assert (
             main(["lint", str(tmp_path), "--ignore", "DRA1,DRA3"]) == 0
         )
+
+    def test_cli_unknown_selector_is_a_usage_error(self, tmp_path, capsys):
+        _write_tree(tmp_path, VIOLATIONS)
+        assert main(["lint", str(tmp_path), "--select", "DRA103"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "repro lint: error: --select DRA103 matches no rule code; "
+            "see docs/static-analysis.md for the catalogue"
+        ]
 
     def test_jobs_option_is_gone(self, tmp_path, capsys):
         # lint is one in-process pipeline; --jobs is an argparse error

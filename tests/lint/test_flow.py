@@ -369,6 +369,24 @@ class TestDRA504LiteralFlow:
         assert [(f.code, f.line) for f in report.findings] == [("DRA504", 5)]
         assert report.findings[0].path.endswith("src/repro/mc/run.py")
 
+    def test_wrapper_called_only_from_tests_judged_there(self, flow_report):
+        files = {
+            "src/repro/mc/note.py": """
+                def note(tracer, kind):
+                    tracer.emit(kind)
+            """,
+            "tests/test_note.py": """
+                from repro.mc.note import note
+
+
+                def test_note(tracer):
+                    note(tracer, "made.up.kind")
+            """,
+        }
+        (finding,) = flow_report(files).findings
+        assert (finding.code, finding.line) == ("DRA504", 6)
+        assert finding.path.endswith("tests/test_note.py")
+
     def test_registered_kind_through_wrapper_is_clean(self, flow_codes):
         files = {
             "src/repro/mc/obs_util.py": """

@@ -1,4 +1,10 @@
-"""Transient solver tests: closed forms and cross-method agreement."""
+"""Transient solver tests: closed forms and cross-method agreement.
+
+The ``ode`` cases run the LSODA reference oracle; the others run the two
+production methods.
+"""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,6 +12,12 @@ import pytest
 from repro.markov import CTMCBuilder, transient_distribution
 from repro.markov.transient import TRANSIENT_METHODS
 from repro.validate import assert_distribution_rows, assert_solvers_agree
+from repro.validate.oracles import transient_distribution_ode
+
+SOLVERS = {
+    **{m: partial(transient_distribution, method=m) for m in TRANSIENT_METHODS},
+    "ode": transient_distribution_ode,
+}
 
 
 def pure_death(lam: float):
@@ -15,18 +27,18 @@ def pure_death(lam: float):
 
 
 class TestClosedForms:
-    @pytest.mark.parametrize("method", TRANSIENT_METHODS)
+    @pytest.mark.parametrize("method", SOLVERS)
     def test_exponential_decay(self, method):
         lam = 0.3
         chain = pure_death(lam)
         t = np.array([0.0, 1.0, 2.0, 5.0])
-        pi = transient_distribution(chain, t, method=method)
+        pi = SOLVERS[method](chain, t)
         np.testing.assert_allclose(pi[:, 0], np.exp(-lam * t), rtol=1e-6)
 
-    @pytest.mark.parametrize("method", TRANSIENT_METHODS)
+    @pytest.mark.parametrize("method", SOLVERS)
     def test_two_state_equilibrium(self, method, two_state_chain):
         # pi_up(inf) = mu / (mu + lam) with lam = 0.2, mu = 2.0.
-        pi = transient_distribution(two_state_chain, np.array([200.0]), method=method)
+        pi = SOLVERS[method](two_state_chain, np.array([200.0]))
         assert pi[0, 0] == pytest.approx(2.0 / 2.2, rel=1e-6)
 
     def test_initial_condition_respected(self, two_state_chain):
@@ -47,7 +59,7 @@ class TestCrossMethod:
         t = np.array([100.0, 10_000.0, 100_000.0])
         base = transient_distribution(chain, t, method="expm_multiply")
         for method in ("expm", "ode"):
-            other = transient_distribution(chain, t, method=method)
+            other = SOLVERS[method](chain, t)
             # budget: the ODE path advertises rtol=1e-10/atol=1e-12 on
             # probabilities <= 1; the expm paths are far below that.
             assert_solvers_agree(
@@ -57,10 +69,10 @@ class TestCrossMethod:
 
 
 class TestRowProperties:
-    @pytest.mark.parametrize("method", TRANSIENT_METHODS)
+    @pytest.mark.parametrize("method", SOLVERS)
     def test_rows_are_distributions(self, method, absorbing_chain):
         t = np.linspace(0.0, 20.0, 7)
-        pi = transient_distribution(absorbing_chain, t, method=method)
+        pi = SOLVERS[method](absorbing_chain, t)
         assert_distribution_rows(pi, label=method)
 
     def test_unsorted_and_repeated_times(self, absorbing_chain):
@@ -86,8 +98,10 @@ class TestValidation:
             )
 
     def test_unknown_method_rejected(self, two_state_chain):
-        with pytest.raises(ValueError, match="unknown method"):
-            transient_distribution(two_state_chain, np.array([1.0]), method="magic")
+        assert TRANSIENT_METHODS == ("expm_multiply", "expm")
+        for method in ("magic", "ode"):  # the ODE path is an oracle only
+            with pytest.raises(ValueError, match="unknown method"):
+                transient_distribution(two_state_chain, np.array([1.0]), method=method)
 
     def test_2d_times_rejected(self, two_state_chain):
         with pytest.raises(ValueError, match="one-dimensional"):

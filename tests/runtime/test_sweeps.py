@@ -10,7 +10,6 @@ from repro.analysis.sweep import (
 from repro.core import RepairPolicy
 from repro.runtime import (
     ResultCache,
-    RuntimeMetrics,
     parallel_availability_sweep,
     parallel_performance_sweep,
     parallel_reliability_sweep,
@@ -61,16 +60,6 @@ class TestReliabilitySweep:
         )
         assert cache.hits == 0
         assert paper != extended
-
-    def test_metrics_recorded(self):
-        metrics = RuntimeMetrics()
-        records = parallel_reliability_sweep(
-            times=TIMES, configs=[(3, 2)], metrics=metrics
-        )
-        assert len(metrics.stages) == 1
-        assert metrics.stages[0].items == len(records)
-        assert metrics.stages[0].wall_s >= 0.0
-        assert "points" in metrics.format_table()
 
 
 class TestAvailabilitySweep:
